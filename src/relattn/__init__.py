@@ -7,6 +7,7 @@ toy relational transformer block trained with a flow-matching objective.
 """
 
 import os
+import sys
 
 
 def _apply_thread_cap() -> None:
@@ -14,13 +15,21 @@ def _apply_thread_cap() -> None:
     # environment before numpy first loads, hence before any submodule import
     cap = os.environ.get("RELATTN_THREADS")
     if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
+        unset = [
+            var
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+            if var not in os.environ
+        ]
+        for var in unset:
+            os.environ[var] = cap
+        # a re-import finds the variables already set, so this warns once;
+        # stderr only, so the byte-stable stdout of `masks`/`forward` stays so
+        if unset and "numpy" in sys.modules:
+            print(
+                f"relattn: RELATTN_THREADS={cap} has no effect: numpy was imported "
+                f"before relattn, so its BLAS has already chosen its thread count",
+                file=sys.stderr,
+            )
 
 
 _apply_thread_cap()

@@ -8,7 +8,9 @@ when tests want oracle precision) and are deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,6 +18,11 @@ import numpy as np
 
 from .layout import LayoutSpec
 from .masks import Block, CsamMask, McamMask
+
+# query rows per tile: the streaming kernels hold one tile x keys logits
+# buffer at a time instead of a full query x key matrix
+_SELF_TILE = 256
+_CROSS_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -47,21 +54,41 @@ def _default_scale(k_cols: int) -> float:
     return 1.0 / math.sqrt(k_cols)
 
 
-def _attend(Q, K, V, additive, scale, return_weights):
-    """softmax((Q K^T [+ additive]) * scale) V with row-max stabilization.
+def _attend(Q, K, V, scale, return_weights, level_term=None):
+    """softmax((Q K^T [+ levels * s * r]) * scale) V with row-max stabilization.
 
-    ``additive=None`` is plain attention; an all-zero additive gives
-    bit-identical results to it.
+    ``level_term=(levels, s, r)`` adds the relational mask term; with r=0 it
+    adds exact zeros, so the result is bit-identical to ``level_term=None``.
+    Queries are processed in row tiles through one reused logits buffer (or
+    straight into the returned weight matrix), so both paths, and both
+    values of ``return_weights``, run the same arithmetic.
     """
-    logits = Q @ K.T
-    if additive is not None:
-        logits = logits + additive
-    logits = logits * logits.dtype.type(scale)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    out = w @ V
-    return (out, w) if return_weights else out
+    n, L = Q.shape[0], K.shape[0]
+    if level_term is None:
+        dt = np.result_type(Q, K)
+    else:
+        levels, s, r = level_term
+        dt = np.result_type(Q, K, s)
+        term = np.empty((min(_CROSS_TILE, n), L), dtype=dt)
+    out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
+    weights = np.empty((n if return_weights else min(_CROSS_TILE, n), L), dtype=dt)
+    sc = dt.type(scale)
+    Kt = K.T
+    for q0 in range(0, n, _CROSS_TILE):
+        rows = slice(q0, min(q0 + _CROSS_TILE, n))
+        m = rows.stop - q0
+        logits = weights[rows] if return_weights else weights[:m]
+        np.matmul(Q[rows], Kt, out=logits)
+        if level_term is not None:
+            np.multiply(levels[rows], s[rows], out=term[:m])
+            term[:m] *= dt.type(r)
+            logits += term[:m]
+        logits *= sc
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+        np.matmul(logits, V, out=out[rows])
+    return (out, weights) if return_weights else out
 
 
 def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool = False):
@@ -71,7 +98,7 @@ def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool
         raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if K.shape[0] == 0:
         raise ValueError("attention requires at least one key")
-    return _attend(Q, K, V, None, scale if scale is not None else _default_scale(K.shape[1]), return_weights)
+    return _attend(Q, K, V, scale if scale is not None else _default_scale(K.shape[1]), return_weights)
 
 
 def masked_self_attention_naive(
@@ -111,10 +138,22 @@ def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
         if blk.q1 > n or blk.k1 > n:
             raise ValueError(f"{blk} exceeds sequence length {n}")
         covered[blk.q0 : blk.q1] = True
-    for i, a in enumerate(blocks):
-        for b in blocks[i + 1 :]:
-            if a.q0 < b.q1 and b.q0 < a.q1 and a.k0 < b.k1 and b.k0 < a.k1:
-                raise ValueError(f"overlapping blocks: {a} and {b}")
+    # sweep down the query axis: the blocks live at the current row have
+    # pairwise disjoint key ranges, kept sorted by k0, so a new block can
+    # only overlap the live block that starts last before its k1
+    starts: list[int] = []
+    live: list[Block] = []
+    expiry: list[tuple[int, int]] = []  # (q1, k0) of the live blocks
+    for blk in sorted(blocks, key=lambda b: (b.q0, b.k0)):
+        while expiry and expiry[0][0] <= blk.q0:
+            i = bisect_left(starts, heapq.heappop(expiry)[1])
+            del starts[i], live[i]
+        i = bisect_left(starts, blk.k1)
+        if i and live[i - 1].k1 > blk.k0:
+            raise ValueError(f"overlapping blocks: {live[i - 1]} and {blk}")
+        starts.insert(i, blk.k0)
+        live.insert(i, blk)
+        heapq.heappush(expiry, (blk.q1, blk.k0))
     if not covered.all():
         raise ValueError(f"query row {int(np.flatnonzero(~covered)[0])} covered by no block")
 
@@ -123,7 +162,9 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
     """Streaming masked self-attention over a disjoint block cover.
 
     Keeps a running max and normalizer per query row (online softmax), so the
-    result matches the dense masked kernel for any block visit order.
+    result matches the dense masked kernel for any block visit order.  Each
+    block is walked in query-row tiles through one reused logits buffer, so
+    memory stays O(tile x widest block) whatever the sequence length.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
@@ -136,18 +177,28 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
         scale = _default_scale(K.shape[1])
 
     dt = Q.dtype
+    sc = dt.type(scale)
     running_max = np.full(n, -np.inf, dtype=dt)
     normalizer = np.zeros(n, dtype=dt)
     acc = np.zeros((n, V.shape[1]), dtype=dt)
+    width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
+    buf = np.empty(min(_SELF_TILE, n) * width, dtype=np.result_type(Q, K))
     for blk in blocks:
-        qs, ks = slice(blk.q0, blk.q1), slice(blk.k0, blk.k1)
-        logits = (Q[qs] @ K[ks].T) * dt.type(scale)
-        new_max = np.maximum(running_max[qs], logits.max(axis=1))
-        carry = np.exp(running_max[qs] - new_max)
-        p = np.exp(logits - new_max[:, None])
-        acc[qs] = acc[qs] * carry[:, None] + p @ V[ks]
-        normalizer[qs] = normalizer[qs] * carry + p.sum(axis=1)
-        running_max[qs] = new_max
+        Kt, Vb = K[blk.k0 : blk.k1].T, V[blk.k0 : blk.k1]
+        for q0 in range(blk.q0, blk.q1, _SELF_TILE):
+            qs = slice(q0, min(q0 + _SELF_TILE, blk.q1))
+            m = qs.stop - q0
+            logits = buf[: m * Kt.shape[1]].reshape(m, -1)
+            np.matmul(Q[qs], Kt, out=logits)
+            logits *= sc
+            new_max = np.maximum(running_max[qs], logits.max(axis=1))
+            carry = np.exp(running_max[qs] - new_max)
+            logits -= new_max[:, None]
+            np.exp(logits, out=logits)
+            acc[qs] *= carry[:, None]
+            acc[qs] += logits @ Vb
+            normalizer[qs] = normalizer[qs] * carry + logits.sum(axis=1)
+            running_max[qs] = new_max
     return acc / normalizer[:, None]
 
 
@@ -216,6 +267,5 @@ def relational_cross_attention(
     if K.shape[0] == 0:
         raise ValueError("cross-attention requires at least one text token")
 
-    additive = levels.astype(Q.dtype) * s * Q.dtype.type(cfg.r)
     scale = cfg.scale if cfg.scale is not None else _default_scale(K.shape[1])
-    return _attend(Q, K, V, additive, scale, return_weights)
+    return _attend(Q, K, V, scale, return_weights, level_term=(levels, s, cfg.r))

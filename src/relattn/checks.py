@@ -82,7 +82,11 @@ def check_layout(name: str, spec: LayoutSpec, seed: int = 0) -> list[CheckResult
     ok &= bool(bits.diagonal().all())
     if spec.n_entities:
         ok &= bool(bits[0, spec.n_video_tokens]) and not bits[spec.n_video_tokens, 0]
-    ok &= bool(np.array_equal(masks.materialize_blocks(csam.blocks, n), bits))
+    # the cover is derived from the layout and ``bits`` materialized from it,
+    # so compare against the branch rule computed from the token branch ids
+    branch = layout.branch_index_per_token(spec)
+    rule = (branch[:, None] < 0) | (branch[:, None] == branch[None, :])
+    ok &= bool(np.array_equal(bits, rule))
     out.append(CheckResult(f"csam-structure[{name}]", ok, detail=f"{len(csam.blocks)} blocks"))
 
     ok = True

@@ -2,8 +2,9 @@
 
 Self-attention: video queries see everything; condition queries see only
 their own branch (one background/object entity, or one whole subject group).
-The boolean mask is carried together with an exact rectangular-block cover so
-kernels can stream it.
+The mask is carried as its exact rectangular-block cover, derived from the
+layout, so kernels can stream it; the dense boolean form is built only when
+something asks for it.
 
 Cross-attention: a {-1, 0, +1} level per (visual token, caption token) pair,
 encoding weak/neutral/strong correlation.
@@ -12,11 +13,13 @@ encoding weak/neutral/strong correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .layout import LayoutSpec, branch_index_per_token, SUBJECT_KINDS
+from .layout import LayoutSpec, SUBJECT_KINDS
 
 
 @dataclass(frozen=True)
@@ -35,13 +38,28 @@ class Block:
             raise ValueError(f"block ranges must be non-negative, got {self}")
 
 
-@dataclass(frozen=True)
 class CsamMask:
-    """Boolean self-attention mask (row = query) plus its disjoint block cover."""
+    """Self-attention mask (row = query) as a disjoint block cover.
 
-    n: int
-    bits: np.ndarray
-    blocks: tuple[Block, ...]
+    ``bits``, the dense boolean matrix, is materialized from the cover on
+    first access unless it was passed in; the streaming kernel never needs it.
+    """
+
+    __slots__ = ("n", "blocks", "_bits")
+
+    def __init__(self, n: int, bits: np.ndarray | None = None, blocks: Sequence[Block] = ()):
+        self.n = n
+        self.blocks = tuple(blocks)
+        self._bits = bits
+
+    @property
+    def bits(self) -> np.ndarray:
+        if self._bits is None:
+            self._bits = materialize_blocks(self.blocks, self.n)
+        return self._bits
+
+    def __repr__(self) -> str:
+        return f"CsamMask(n={self.n}, blocks={self.blocks!r})"
 
 
 @dataclass(frozen=True)
@@ -52,11 +70,22 @@ class McamMask:
 
 
 def build_csam(spec: LayoutSpec) -> CsamMask:
-    """Boolean mask: True iff the query is a video token or query and key
-    share a condition branch."""
-    b = branch_index_per_token(spec)
-    bits = (b[:, None] < 0) | (b[:, None] == b[None, :])
-    return CsamMask(n=spec.n_tokens, bits=bits, blocks=tuple(decompose_blocks(bits)))
+    """Mask that is True iff the query is a video token or query and key
+    share a condition branch, as its exact block cover.
+
+    The cover follows from the layout: one ``[0, n_video) x [0, n)`` video
+    block, then one square block per condition branch.  A branch is a run of
+    consecutive entities with the same label (a subject group is
+    contiguous), so the blocks come out in token order, exactly as
+    :func:`decompose_blocks` would find them in the dense mask.
+    """
+    n, start = spec.n_tokens, spec.n_video_tokens
+    blocks = [Block(0, start, 0, n)]
+    for _, run in groupby(spec.branch_labels):
+        end = start + sum(1 for _ in run) * spec.hw
+        blocks.append(Block(start, end, start, end))
+        start = end
+    return CsamMask(n, None, blocks)
 
 
 def decompose_blocks(mask: np.ndarray) -> list[Block]:
@@ -65,7 +94,8 @@ def decompose_blocks(mask: np.ndarray) -> list[Block]:
     Each row is split into maximal contiguous column runs; adjacent rows with
     identical run sets merge into one row band.  The result reproduces the
     mask bit-for-bit (verified before returning; all-False rows are simply
-    uncovered).
+    uncovered).  This is the general routine for any mask, and the oracle
+    that :func:`build_csam`'s derived cover is tested against.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:

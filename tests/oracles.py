@@ -187,3 +187,13 @@ def fm_loss_oracle(pred, v) -> float:
             diff = pred[i, j] - v[i, j]
             total += diff * diff
     return total / (pred.shape[0] * pred.shape[1])
+
+
+def csam_oracle_vectorized(spec) -> np.ndarray:
+    """csam_oracle's rule, compared with numpy over the same per-token branch
+    keys: for layouts too large for the double loop."""
+    keys = _branch_keys(spec)
+    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    branch = np.array([ids[key] for key in keys])
+    video = np.array([key == "video" for key in keys])
+    return video[:, None] | (branch[:, None] == branch[None, :])

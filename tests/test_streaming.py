@@ -1,0 +1,165 @@
+"""Streaming kernels at sizes that span many row tiles, the block-cover
+overlap sweep, and the memory the plan-cold forward needs."""
+
+import tracemalloc
+from itertools import combinations, permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from relattn import attention
+from relattn.attention import (
+    AttnConfig,
+    compute_scaling_s,
+    masked_self_attention_blockwise,
+    masked_self_attention_naive,
+    relational_cross_attention,
+    standard_attention,
+)
+from relattn.block import block_forward, init_weights
+from relattn.corpus import bench_layout, make_spec
+from relattn.masks import Block, build_csam, build_mcam
+
+from oracles import attention_oracle
+
+MIB = 1024 * 1024
+ROADMAP_LAYOUT = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1))
+
+
+def rnd(shape, seed, dtype=np.float32):
+    return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+
+
+# --- block-cover validation --------------------------------------------------
+
+
+def _qkv(n):
+    return rnd((n, 2), 1), rnd((n, 2), 2), rnd((n, 2), 3)
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [
+        # partial overlap next to a disjoint block
+        [Block(0, 4, 0, 4), Block(2, 6, 2, 6), Block(6, 8, 0, 8)],
+        # a cross: neither block holds a corner of the other
+        [Block(0, 8, 3, 5), Block(3, 5, 0, 8)],
+        # nested
+        [Block(0, 8, 0, 8), Block(2, 3, 2, 3)],
+        # overlaps only the live block that starts first in k
+        [Block(0, 8, 0, 5), Block(0, 8, 6, 8), Block(4, 5, 4, 6)],
+        # overlaps a block that started on an earlier row
+        [Block(0, 2, 0, 2), Block(0, 2, 2, 8), Block(1, 8, 7, 8), Block(2, 8, 0, 7)],
+    ],
+)
+def test_overlap_rejected_in_any_visit_order(cover):
+    Q, K, V = _qkv(8)
+    for order in permutations(cover):
+        with pytest.raises(ValueError, match="overlapping"):
+            masked_self_attention_blockwise(Q, K, V, list(order))
+
+
+def test_disjoint_cover_accepted_in_any_visit_order():
+    cover = [Block(0, 2, 0, 2), Block(0, 2, 2, 8), Block(2, 8, 7, 8), Block(2, 8, 0, 7)]
+    Q, K, V = _qkv(8)
+    ref = masked_self_attention_blockwise(Q, K, V, cover)
+    np.testing.assert_allclose(ref, standard_attention(Q, K, V), atol=1e-6)
+    for order in permutations(cover):
+        np.testing.assert_allclose(masked_self_attention_blockwise(Q, K, V, list(order)), ref, atol=1e-6)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(1, 4), st.integers(0, 7), st.integers(1, 4)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_overlap_detection_matches_pairwise_scan(raw):
+    blocks = [Block(q, q + h, k, k + w) for q, h, k, w in raw]
+    pairwise = any(
+        a.q0 < b.q1 and b.q0 < a.q1 and a.k0 < b.k1 and b.k0 < a.k1 for a, b in combinations(blocks, 2)
+    )
+    Q, K, V = _qkv(12)
+    try:
+        masked_self_attention_blockwise(Q, K, V, blocks)
+        rejected = False
+    except ValueError as exc:
+        rejected = "overlapping" in str(exc)
+    assert rejected == pairwise
+
+
+# --- kernels across many tiles -----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = bench_layout()
+    assert spec.n_tokens > 4 * attention._SELF_TILE
+    assert spec.n_tokens > 4 * attention._CROSS_TILE
+    n, L = spec.n_tokens, spec.text_len
+    return spec, rnd((n, 8), 11), rnd((n, 8), 12), rnd((n, 8), 13), rnd((L, 8), 14), rnd((L, 8), 15)
+
+
+def test_blockwise_matches_naive_across_tiles(bench):
+    spec, Q, K, V, _, _ = bench
+    csam = build_csam(spec)
+    ref = masked_self_attention_naive(Q, K, V, csam)
+    out = masked_self_attention_blockwise(Q, K, V, csam.blocks)
+    assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) <= 1e-5
+
+
+def test_r0_bit_identical_across_tiles(bench):
+    spec, Q, _, _, Kt, Vt = bench
+    s = compute_scaling_s(Q, Kt, spec, 8)
+    rel0 = relational_cross_attention(Q, Kt, Vt, build_mcam(spec), s, AttnConfig(r=0.0))
+    np.testing.assert_array_equal(rel0, standard_attention(Q, Kt, Vt))
+
+
+def test_relational_matches_oracle_across_tiles(bench):
+    spec, Q, _, _, Kt, Vt = bench
+    s = compute_scaling_s(Q, Kt, spec, 8)
+    mcam, cfg = build_mcam(spec), AttnConfig(r=0.5)
+    out = relational_cross_attention(Q, Kt, Vt, mcam, s, cfg)
+    rows = np.arange(0, spec.n_tokens, 37)  # rows from every tile
+    additive = mcam.levels[rows].astype(np.float64) * s[rows] * cfg.r
+    want = attention_oracle(Q[rows], Kt, Vt, additive=additive)
+    assert np.max(np.abs(out[rows] - want)) <= 1e-5
+
+
+def test_return_weights_leaves_output_unchanged_across_tiles(bench):
+    spec, Q, _, _, Kt, Vt = bench
+    s = compute_scaling_s(Q, Kt, spec, 8)
+    mcam, cfg = build_mcam(spec), AttnConfig(r=0.5)
+    out, w = relational_cross_attention(Q, Kt, Vt, mcam, s, cfg, return_weights=True)
+    np.testing.assert_array_equal(out, relational_cross_attention(Q, Kt, Vt, mcam, s, cfg))
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-5
+    out, w = standard_attention(Q, Kt, Vt, return_weights=True)
+    np.testing.assert_array_equal(out, standard_attention(Q, Kt, Vt))
+
+
+# --- memory of the plan-cold path --------------------------------------------
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_csam_memory_is_independent_of_n_squared():
+    assert _traced_peak_mib(build_csam, ROADMAP_LAYOUT) < 1.0
+
+
+def test_block_forward_never_holds_an_n_by_n_array():
+    spec = ROADMAP_LAYOUT
+    rng = np.random.default_rng(0)
+    weights = init_weights(rng, 16, 12)
+    x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
+    text = rng.standard_normal((spec.text_len, 12)).astype(np.float32)
+    # the dense n x n bool mask alone would be spec.n_tokens**2 bytes = 53.5 MiB
+    assert _traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 32.0
