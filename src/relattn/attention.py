@@ -41,11 +41,11 @@ class AttnConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
 
 
-def _as_matrix(name: str, x: np.ndarray, require_finite: bool = True) -> np.ndarray:
+def _as_matrix(name: str, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
-    if require_finite and x.size and not np.isfinite(x).all():
+    if x.size and not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -93,7 +93,7 @@ def _attend(Q, K, V, scale, return_weights, level_term=None):
 
 def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool = False):
     """Unmasked scaled-dot-product attention (baseline for equivalence tests)."""
-    Q, K, V = _as_matrix("Q", Q, False), _as_matrix("K", K, False), _as_matrix("V", V, False)
+    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     if Q.shape[1] != K.shape[1] or K.shape[0] != V.shape[0]:
         raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if K.shape[0] == 0:
@@ -210,6 +210,25 @@ def _patch_edges(extent: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, counts
 
 
+def _patch_sum(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
+    """Sum of the rows of ``x`` over each d x d patch of every frame, as a
+    (frames * patches, channels) array in frame-major, row-major patch order.
+    A column of ones sums to the token count of each patch."""
+    grid = x.reshape(spec.T + spec.n_entities, spec.H, spec.W, x.shape[1])
+    sums = np.add.reduceat(grid, _patch_edges(spec.H, d)[0], axis=1)
+    sums = np.add.reduceat(sums, _patch_edges(spec.W, d)[0], axis=2)
+    return sums.reshape(-1, x.shape[1])
+
+
+def _patch_repeat(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
+    """Transpose of :func:`_patch_sum`: each patch row of ``x`` repeated over
+    the patch's tokens, as an (n_tokens, channels) array."""
+    row_counts, col_counts = _patch_edges(spec.H, d)[1], _patch_edges(spec.W, d)[1]
+    grid = x.reshape(spec.T + spec.n_entities, len(row_counts), len(col_counts), x.shape[1])
+    full = np.repeat(np.repeat(grid, row_counts, axis=1), col_counts, axis=2)
+    return full.reshape(spec.n_tokens, x.shape[1])
+
+
 def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
     """Position-wise |Q K^T| estimate from spatially average-pooled queries.
 
@@ -226,20 +245,9 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
     if Q.shape[1] != K_text.shape[1]:
         raise ValueError(f"Q and K_text feature dims differ: {Q.shape[1]} vs {K_text.shape[1]}")
 
-    frames = spec.T + spec.n_entities
-    grid = Q.reshape(frames, spec.H, spec.W, Q.shape[1])
-    row_starts, row_counts = _patch_edges(spec.H, d)
-    col_starts, col_counts = _patch_edges(spec.W, d)
-    sums = np.add.reduceat(grid, row_starts, axis=1)
-    sums = np.add.reduceat(sums, col_starts, axis=2)
-    cells = (row_counts[:, None] * col_counts[None, :]).astype(Q.dtype)
-    pooled = sums / cells[None, :, :, None]
-
-    n_text = K_text.shape[0]
-    sim = np.abs(pooled.reshape(-1, Q.shape[1]) @ K_text.T)
-    sim = sim.reshape(frames, len(row_starts), len(col_starts), n_text)
-    full = np.repeat(np.repeat(sim, row_counts, axis=1), col_counts, axis=2)
-    return full.reshape(spec.n_tokens, n_text)
+    cells = _patch_sum(np.ones((Q.shape[0], 1), Q.dtype), spec, d)
+    pooled = _patch_sum(Q, spec, d) / cells
+    return _patch_repeat(np.abs(pooled @ K_text.T), spec, d)
 
 
 def relational_cross_attention(
@@ -251,7 +259,7 @@ def relational_cross_attention(
     r=0 the additive term vanishes and the kernel is bit-identical to
     :func:`standard_attention`.
     """
-    Q, K, V = _as_matrix("Q", Q, False), _as_matrix("K", K, False), _as_matrix("V", V, False)
+    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     s = _as_matrix("s", s)
     levels = mcam.levels
     if Q.shape[0] != levels.shape[0] or s.shape[0] != levels.shape[0]:

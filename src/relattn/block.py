@@ -2,10 +2,10 @@
 
 One block = pre-norm masked self-attention (rotary positions, block-streaming
 kernel) -> pre-norm relational cross-attention (level mask with pooled
-scaling) -> pre-norm pointwise MLP, each followed by a residual add.  The
-block is small enough to differentiate by hand: a tape-recording forward and
-a matching backward pass support finite-difference verification and the demo
-trainer.
+scaling) -> pre-norm pointwise MLP, each followed by a residual add.  One
+forward serves the production block, the plain baseline and the taped path;
+the block is small enough to differentiate by hand, and the backward of the
+taped forward supports finite-difference verification and the demo trainer.
 """
 
 from __future__ import annotations
@@ -18,15 +18,17 @@ import numpy as np
 from .attention import (
     AttnConfig,
     _default_scale,
-    _patch_edges,
+    _patch_repeat,
+    _patch_sum,
     compute_scaling_s,
     masked_self_attention_blockwise,
+    masked_self_attention_naive,
     relational_cross_attention,
     standard_attention,
 )
 from .layout import LayoutSpec
 from .masks import CsamMask, McamMask, build_csam, build_mcam
-from .rotary import RotaryConfig, apply_rotary, assign_positions, default_config
+from .rotary import _position_array, _rotary_table, _rotate, default_config
 
 _LN_EPS = 1e-6
 
@@ -116,8 +118,8 @@ class BlockWeights:
                 raise ValueError(f"{name} has shape {shape}, expected ({h}, *, {d})")
         if self.wo.shape[:2] != (h, d) or self.co.shape[:2] != (h, d):
             raise ValueError("wo/co must be (heads, head_dim, channels)")
-        for name in ("wq", "wk", "wv", "wo", "cq", "ck", "cv", "co", "w1", "b1", "w2", "b2"):
-            if not np.isfinite(getattr(self, name)).all():
+        for name, arr in self.arrays().items():
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
 
     @property
@@ -176,11 +178,11 @@ _GELU_A = 0.044715
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
 
 
 def _gelu_grad(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
 
 
@@ -195,15 +197,6 @@ def _layer_norm_bwd(gy, y, inv):
     return inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
 
 
-def _masked_softmax(logits, bits):
-    logits = np.where(bits, logits, -np.inf)
-    logits = logits - logits.max(axis=1, keepdims=True)
-    np.maximum(logits, np.finfo(logits.dtype).min, out=logits)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
-
-
 def _softmax_bwd(gw, w):
     return w * (gw - (gw * w).sum(axis=1, keepdims=True))
 
@@ -212,9 +205,10 @@ def _softmax_bwd(gw, w):
 # forward
 
 
-def _prepare(weights, z_tokens, text, spec, cfg, csam, mcam):
-    x = np.asarray(z_tokens)
-    text = np.asarray(text)
+def _prepare(weights, z_tokens, text, spec, dtype=None):
+    """Validated inputs, weights in the inputs' dtype, and the rotary table."""
+    x = np.asarray(z_tokens, dtype=dtype)
+    text = np.asarray(text, dtype=dtype)
     if x.ndim != 2 or x.shape != (spec.n_tokens, weights.channels):
         raise ValueError(
             f"z_tokens must be ({spec.n_tokens}, {weights.channels}), got {x.shape}"
@@ -223,11 +217,73 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam, mcam):
         raise ValueError(f"text must have {spec.text_len} rows, got {text.shape}")
     if text.shape[0] and text.shape[1] != weights.ck.shape[1]:
         raise ValueError(f"text must have {weights.ck.shape[1]} channels, got {text.shape[1]}")
-    csam = csam if csam is not None else build_csam(spec)
-    mcam = mcam if mcam is not None else build_mcam(spec)
-    positions = assign_positions(spec)
-    rcfg = default_config(weights.head_dim)
-    return x, text, csam, mcam, positions, rcfg
+    w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
+    rot = _rotary_table(_position_array(spec), default_config(w.head_dim), x.dtype)
+    return w, x, text, rot
+
+
+def _forward(w: BlockWeights, x, text, spec, cfg, rot, csam, mcam, tape=None):
+    """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
+    sub-layer added back to its input.
+
+    ``csam``/``mcam`` of None give the plain baseline (unmasked attention in
+    both sub-layers).  A ``tape`` dict switches self-attention to the dense
+    masked kernel and records every intermediate :func:`_backward` needs;
+    the dense kernel equals the streaming one up to float rounding.
+    """
+    cos, sin = rot
+    u, inv = _layer_norm(x)
+    sa = np.zeros_like(x)
+    self_tape = []
+    for h in range(w.n_heads):
+        q = _rotate(u @ w.wq[h], cos, sin)
+        k = _rotate(u @ w.wk[h], cos, sin)
+        v = u @ w.wv[h]
+        if csam is None:
+            a = standard_attention(q, k, v)
+        elif tape is None:
+            a = masked_self_attention_blockwise(q, k, v, csam.blocks)
+        else:
+            a, att = masked_self_attention_naive(q, k, v, csam, return_weights=True)
+            self_tape.append((q, k, v, att, a))
+        sa += a @ w.wo[h]
+    x1 = x + sa
+
+    cross_tape = []
+    if text.shape[0] > 0:
+        u2, inv2 = _layer_norm(x1)
+        ca = np.zeros_like(x1)
+        for h in range(w.n_heads):
+            qc = u2 @ w.cq[h]
+            kc = text @ w.ck[h]
+            vc = text @ w.cv[h]
+            if mcam is None:
+                a = standard_attention(qc, kc, vc)
+            else:
+                s = compute_scaling_s(qc, kc, spec, cfg.d)
+                if tape is None:
+                    a = relational_cross_attention(qc, kc, vc, mcam, s, cfg)
+                else:
+                    a, att = relational_cross_attention(
+                        qc, kc, vc, mcam, s, cfg, return_weights=True
+                    )
+                    cross_tape.append((qc, kc, vc, att, a))
+            ca += a @ w.co[h]
+        x2 = x1 + ca
+    else:
+        u2 = inv2 = None
+        x2 = x1
+
+    u3, inv3 = _layer_norm(x2)
+    h1 = u3 @ w.w1 + w.b1
+    act = _gelu(h1)
+    y = x2 + act @ w.w2 + w.b2
+    if tape is not None:
+        tape.update(
+            text=text, u=u, inv=inv, self=self_tape, u2=u2, inv2=inv2,
+            cross=cross_tape, u3=u3, inv3=inv3, h1=h1, act=act,
+        )
+    return y
 
 
 def block_forward(
@@ -244,35 +300,10 @@ def block_forward(
     Computation follows the dtype of ``z_tokens``; the self-attention uses
     the block-streaming kernel over the mask's block cover.
     """
-    x, text, csam, mcam, positions, rcfg = _prepare(
-        weights, z_tokens, text, spec, cfg, csam, mcam
-    )
-    w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
-
-    u, _ = _layer_norm(x)
-    sa = np.zeros_like(x)
-    for h in range(w.n_heads):
-        q = apply_rotary(u @ w.wq[h], positions, rcfg)
-        k = apply_rotary(u @ w.wk[h], positions, rcfg)
-        v = u @ w.wv[h]
-        sa += masked_self_attention_blockwise(q, k, v, csam.blocks) @ w.wo[h]
-    x1 = x + sa
-
-    if text.shape[0] > 0:
-        u2, _ = _layer_norm(x1)
-        ca = np.zeros_like(x1)
-        for h in range(w.n_heads):
-            qc = u2 @ w.cq[h]
-            kc = text @ w.ck[h]
-            vc = text @ w.cv[h]
-            s = compute_scaling_s(qc, kc, spec, cfg.d)
-            ca += relational_cross_attention(qc, kc, vc, mcam, s, cfg) @ w.co[h]
-        x2 = x1 + ca
-    else:
-        x2 = x1
-
-    u3, _ = _layer_norm(x2)
-    y = x2 + _gelu(u3 @ w.w1 + w.b1) @ w.w2 + w.b2
+    w, x, text, rot = _prepare(weights, z_tokens, text, spec)
+    csam = csam if csam is not None else build_csam(spec)
+    mcam = mcam if mcam is not None else build_mcam(spec)
+    y = _forward(w, x, text, spec, cfg, rot, csam, mcam)
     if not np.isfinite(y).all():
         raise ValueError("block produced non-finite output")
     return y
@@ -287,110 +318,19 @@ def plain_block_forward(
 ) -> np.ndarray:
     """Non-relational baseline: same weights and rotary positions, but dense
     unmasked self-attention and plain cross-attention (no level mask)."""
-    x, text, _, _, positions, rcfg = _prepare(weights, z_tokens, text, spec, cfg, None, None)
-    w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
-
-    u, _ = _layer_norm(x)
-    sa = np.zeros_like(x)
-    for h in range(w.n_heads):
-        q = apply_rotary(u @ w.wq[h], positions, rcfg)
-        k = apply_rotary(u @ w.wk[h], positions, rcfg)
-        sa += standard_attention(q, k, u @ w.wv[h]) @ w.wo[h]
-    x1 = x + sa
-
-    if text.shape[0] > 0:
-        u2, _ = _layer_norm(x1)
-        ca = np.zeros_like(x1)
-        for h in range(w.n_heads):
-            ca += standard_attention(u2 @ w.cq[h], text @ w.ck[h], text @ w.cv[h]) @ w.co[h]
-        x2 = x1 + ca
-    else:
-        x2 = x1
-
-    u3, _ = _layer_norm(x2)
-    return x2 + _gelu(u3 @ w.w1 + w.b1) @ w.w2 + w.b2
+    w, x, text, rot = _prepare(weights, z_tokens, text, spec)
+    return _forward(w, x, text, spec, cfg, rot, None, None)
 
 
 # ---------------------------------------------------------------------------
-# tape forward + hand-derived backward (float64)
+# hand-derived backward of the taped forward (float64)
 
 
-def _taped_forward(w: BlockWeights, x, text, spec, cfg, csam_bits, mcam, positions, rcfg):
-    """Forward pass recording every intermediate the backward pass needs.
-
-    Self-attention uses the dense masked form here; it equals the streaming
-    kernel up to float rounding and is the differentiated path.
-    """
-    tape: dict = {"x": x, "text": text, "L": text.shape[0]}
-    scale = _default_scale(w.head_dim)
-    cscale = cfg.scale if cfg.scale is not None else _default_scale(w.head_dim)
-    tape["scale"], tape["cscale"] = scale, cscale
-
-    u, inv = _layer_norm(x)
-    tape["u"], tape["inv"] = u, inv
-    sa = np.zeros_like(x)
-    tape["self"] = []
-    for h in range(w.n_heads):
-        q = apply_rotary(u @ w.wq[h], positions, rcfg)
-        k = apply_rotary(u @ w.wk[h], positions, rcfg)
-        v = u @ w.wv[h]
-        att = _masked_softmax((q @ k.T) * scale, csam_bits)
-        a = att @ v
-        sa += a @ w.wo[h]
-        tape["self"].append((q, k, v, att, a))
-    x1 = x + sa
-    tape["x1"] = x1
-
-    if text.shape[0] > 0:
-        u2, inv2 = _layer_norm(x1)
-        tape["u2"], tape["inv2"] = u2, inv2
-        row_starts, row_counts = _patch_edges(spec.H, cfg.d)
-        col_starts, col_counts = _patch_edges(spec.W, cfg.d)
-        cells = (row_counts[:, None] * col_counts[None, :]).astype(x.dtype)
-        frames = spec.T + spec.n_entities
-        pool = (frames, row_starts, row_counts, col_starts, col_counts, cells)
-        tape["pool"] = pool
-        ca = np.zeros_like(x1)
-        tape["cross"] = []
-        levels = mcam.levels.astype(x.dtype)
-        tape["levels"] = levels
-        for h in range(w.n_heads):
-            qc = u2 @ w.cq[h]
-            kc = text @ w.ck[h]
-            vc = text @ w.cv[h]
-            grid = qc.reshape(frames, spec.H, spec.W, -1)
-            sums = np.add.reduceat(grid, row_starts, axis=1)
-            sums = np.add.reduceat(sums, col_starts, axis=2)
-            pooled = (sums / cells[None, :, :, None]).reshape(-1, w.head_dim)
-            sim = pooled @ kc.T
-            s_small = np.abs(sim).reshape(frames, len(row_starts), len(col_starts), -1)
-            s = np.repeat(np.repeat(s_small, row_counts, axis=1), col_counts, axis=2)
-            s = s.reshape(spec.n_tokens, -1)
-            logits = (qc @ kc.T + levels * s * cfg.r) * cscale
-            logits = logits - logits.max(axis=1, keepdims=True)
-            att = np.exp(logits)
-            att /= att.sum(axis=1, keepdims=True)
-            a = att @ vc
-            ca += a @ w.co[h]
-            tape["cross"].append((qc, kc, vc, pooled, sim, att, a))
-        x2 = x1 + ca
-    else:
-        x2 = x1
-    tape["x2"] = x2
-
-    u3, inv3 = _layer_norm(x2)
-    h1 = u3 @ w.w1 + w.b1
-    act = _gelu(h1)
-    y = x2 + act @ w.w2 + w.b2
-    tape["u3"], tape["inv3"], tape["h1"], tape["act"] = u3, inv3, h1, act
-    return y, tape
-
-
-def _backward(w: BlockWeights, tape, spec, cfg, positions, rcfg, gy):
+def _backward(w: BlockWeights, tape, spec, cfg, rot, mcam, gy):
     """Gradients of a scalar loss w.r.t. every weight array and both inputs,
     given the loss gradient at the block output."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
-    scale, cscale = tape["scale"], tape["cscale"]
+    text = tape["text"]
 
     # mlp
     u3, inv3, h1, act = tape["u3"], tape["inv3"], tape["h1"], tape["act"]
@@ -402,13 +342,14 @@ def _backward(w: BlockWeights, tape, spec, cfg, positions, rcfg, gy):
     gx2 = gy + _layer_norm_bwd(gh1 @ w.w1.T, u3, inv3)
 
     # cross-attention
-    gtext = np.zeros_like(tape["text"])
-    if tape["L"] > 0:
-        u2, inv2, levels = tape["u2"], tape["inv2"], tape["levels"]
-        frames, row_starts, row_counts, col_starts, col_counts, cells = tape["pool"]
+    gtext = np.zeros_like(text)
+    if text.shape[0] > 0:
+        u2, inv2 = tape["u2"], tape["inv2"]
+        cscale = cfg.scale if cfg.scale is not None else _default_scale(w.head_dim)
+        cells = _patch_sum(np.ones_like(u2[:, :1]), spec, cfg.d)
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
-            qc, kc, vc, pooled, sim, att, a = tape["cross"][h]
+            qc, kc, vc, att, a = tape["cross"][h]
             g["co"][h] += a.T @ gx2
             ga = gx2 @ w.co[h].T
             gatt = ga @ vc.T
@@ -416,22 +357,16 @@ def _backward(w: BlockWeights, tape, spec, cfg, positions, rcfg, gy):
             glog = _softmax_bwd(gatt, att) * cscale
             gqc = glog @ kc
             gkc = glog.T @ qc
-            # scaling-matrix path: s = repeat(|pooled kc^T|)
-            gs = glog * levels * cfg.r
-            gs4 = gs.reshape(frames, spec.H, spec.W, -1)
-            gs_small = np.add.reduceat(gs4, row_starts, axis=1)
-            gs_small = np.add.reduceat(gs_small, col_starts, axis=2)
-            gsim = np.sign(sim) * gs_small.reshape(sim.shape)
-            gpooled = gsim @ kc
+            # scaling-matrix path: s = repeat(|pooled kc^T|), pooled = patch mean of qc
+            pooled = _patch_sum(qc, spec, cfg.d) / cells
+            sim = pooled @ kc.T
+            gsim = np.sign(sim) * _patch_sum(glog * mcam.levels * cfg.r, spec, cfg.d)
             gkc += gsim.T @ pooled
-            gp4 = gpooled.reshape(frames, len(row_starts), len(col_starts), -1)
-            gp4 = gp4 / cells[None, :, :, None]
-            gq_pool = np.repeat(np.repeat(gp4, row_counts, axis=1), col_counts, axis=2)
-            gqc += gq_pool.reshape(qc.shape)
+            gqc += _patch_repeat((gsim @ kc) / cells, spec, cfg.d)
 
             g["cq"][h] += u2.T @ gqc
-            g["ck"][h] += tape["text"].T @ gkc
-            g["cv"][h] += tape["text"].T @ gvc
+            g["ck"][h] += text.T @ gkc
+            g["cv"][h] += text.T @ gvc
             gu2 += gqc @ w.cq[h].T
             gtext += gkc @ w.ck[h].T + gvc @ w.cv[h].T
         gx1 = gx2 + _layer_norm_bwd(gu2, u2, inv2)
@@ -439,6 +374,8 @@ def _backward(w: BlockWeights, tape, spec, cfg, positions, rcfg, gy):
         gx1 = gx2
 
     # self-attention
+    scale = _default_scale(w.head_dim)
+    cos, sin = rot
     u, inv = tape["u"], tape["inv"]
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
@@ -448,14 +385,22 @@ def _backward(w: BlockWeights, tape, spec, cfg, positions, rcfg, gy):
         gatt = ga @ v.T
         gv = att.T @ ga
         glog = _softmax_bwd(gatt, att) * scale
-        gq = apply_rotary(glog @ k, positions, rcfg, inverse=True)
-        gk = apply_rotary(glog.T @ q, positions, rcfg, inverse=True)
+        gq = _rotate(glog @ k, cos, -sin)
+        gk = _rotate(glog.T @ q, cos, -sin)
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk
         g["wv"][h] += u.T @ gv
         gu += gq @ w.wq[h].T + gk @ w.wk[h].T + gv @ w.wv[h].T
     gx = gx1 + _layer_norm_bwd(gu, u, inv)
     return g, gx, gtext
+
+
+def _row_loss(y, target, loss_rows):
+    """Mean squared error over ``loss_rows`` (all rows when None), with the
+    rows and their differences for the output gradient."""
+    rows = np.arange(y.shape[0]) if loss_rows is None else np.asarray(loss_rows)
+    diff = y[rows] - target[rows]
+    return float(np.mean(diff * diff)), rows, diff
 
 
 def loss_and_gradients(
@@ -472,30 +417,16 @@ def loss_and_gradients(
     ``loss_rows``, when given, restricts the mean-squared error to those
     output rows; the default is the full :func:`fm_loss`.
     """
-    x = np.asarray(z_tokens, dtype=np.float64)
-    text = np.asarray(text, dtype=np.float64)
+    w, x, text, rot = _prepare(weights, z_tokens, text, spec, np.float64)
     target = np.asarray(target, dtype=np.float64)
-    w = weights.astype(np.float64)
-    _, _, csam, mcam, positions, rcfg = _prepare(w, x, text, spec, cfg, None, None)
-
-    y, tape = _taped_forward(w, x, text, spec, cfg, csam.bits, mcam, positions, rcfg)
-    rows = np.arange(y.shape[0]) if loss_rows is None else np.asarray(loss_rows)
-    diff = y[rows] - target[rows]
-    denom = diff.size
-    loss = float(np.mean(diff * diff))
+    mcam = build_mcam(spec)
+    tape: dict = {}
+    y = _forward(w, x, text, spec, cfg, rot, build_csam(spec), mcam, tape)
+    loss, rows, diff = _row_loss(y, target, loss_rows)
     gy = np.zeros_like(y)
-    gy[rows] = 2.0 * diff / denom
-    grads, gx, gtext = _backward(w, tape, spec, cfg, positions, rcfg, gy)
+    gy[rows] = 2.0 * diff / diff.size
+    grads, gx, gtext = _backward(w, tape, spec, cfg, rot, mcam, gy)
     return loss, grads, gx, gtext
-
-
-def _restricted_loss(weights, x, text, spec, cfg, target, loss_rows):
-    w = weights.astype(np.float64) if weights.wq.dtype != np.float64 else weights
-    _, _, csam, mcam, positions, rcfg = _prepare(w, x, text, spec, cfg, None, None)
-    y, _ = _taped_forward(w, x, text, spec, cfg, csam.bits, mcam, positions, rcfg)
-    rows = np.arange(y.shape[0]) if loss_rows is None else np.asarray(loss_rows)
-    diff = y[rows] - target[rows]
-    return float(np.mean(diff * diff))
 
 
 @dataclass(frozen=True)
@@ -542,10 +473,13 @@ def grad_check(
     """
     if not 1e-5 <= epsilon <= 1e-2:
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
-    x = np.asarray(z_tokens, dtype=np.float64)
-    text = np.asarray(text, dtype=np.float64)
+    w, x, text, rot = _prepare(weights.astype(np.float64), z_tokens, text, spec, np.float64)
     target = np.asarray(target, dtype=np.float64)
-    w = weights.astype(np.float64)
+    csam, mcam = build_csam(spec), build_mcam(spec)
+
+    def taped_loss() -> float:
+        y = _forward(w, x, text, spec, cfg, rot, csam, mcam, tape={})
+        return _row_loss(y, target, loss_rows)[0]
 
     loss, grads, gx, gtext = loss_and_gradients(w, x, text, spec, cfg, target, loss_rows)
     if not math.isfinite(loss) or any(not np.isfinite(v).all() for v in grads.values()):
@@ -573,9 +507,9 @@ def grad_check(
         multi = np.unravel_index(idx, tensor.shape)
         keep = tensor[multi]
         tensor[multi] = keep + epsilon
-        lo_hi = _restricted_loss(w, x, text, spec, cfg, target, loss_rows)
+        lo_hi = taped_loss()
         tensor[multi] = keep - epsilon
-        lo_lo = _restricted_loss(w, x, text, spec, cfg, target, loss_rows)
+        lo_lo = taped_loss()
         tensor[multi] = keep
         numeric = (lo_hi - lo_lo) / (2.0 * epsilon)
         a = float(analytic[name].reshape(-1)[idx])

@@ -67,11 +67,11 @@ def check_layout(name: str, spec: LayoutSpec, seed: int = 0) -> list[CheckResult
         ok &= bool(np.array_equal(pairwise, mcam.levels))
     out.append(CheckResult(f"text-levels[{name}]", ok))
 
-    positions = rotary.assign_positions(spec)
+    positions = rotary._position_array(spec)
     out.append(
         CheckResult(
             f"positions-unique[{name}]",
-            len({(p.i, p.j, p.k) for p in positions}) == n,
+            positions.shape == (n, 3) and len(np.unique(positions, axis=0)) == n,
         )
     )
 
@@ -223,9 +223,9 @@ def check_global(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     cfg = rotary.default_config(16)
 
-    pos = [rotary.Position3(int(i), int(j), int(k)) for i, j, k in rng.integers(0, 9, (32, 3))]
+    pos = rng.integers(0, 9, (32, 3))
     x = rng.standard_normal((32, 16)).astype(np.float32)
-    rx = rotary.apply_rotary(x, pos, cfg)
+    rx = rotary._rotate(x, *rotary._rotary_table(pos, cfg, x.dtype))
     norms = np.linalg.norm(x, axis=1)
     out.append(
         _result(
@@ -235,19 +235,14 @@ def check_global(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    q = rng.standard_normal(16)
-    k = rng.standard_normal(16)
-    p1, p2 = rotary.Position3(1, 2, 3), rotary.Position3(4, 1, 5)
-    dots = []
-    for di in range(3):
-        for dj in range(3):
-            for dk in range(3):
-                a = rotary.Position3(p1.i + di, p1.j + dj, p1.k + dk)
-                b = rotary.Position3(p2.i + di, p2.j + dj, p2.k + dk)
-                qa = rotary.apply_rotary(q[None, :], [a], cfg)
-                kb = rotary.apply_rotary(k[None, :], [b], cfg)
-                dots.append((qa @ kb.T).item())
-    spread = (max(dots) - min(dots)) / max(abs(dots[0]), 1e-9)
+    # one shared (di, dj, dk) shift of both positions, over a 3x3x3 grid
+    q = np.repeat(rng.standard_normal((1, 16)), 27, axis=0)
+    k = np.repeat(rng.standard_normal((1, 16)), 27, axis=0)
+    shifts = np.indices((3, 3, 3)).reshape(3, -1).T
+    qa = rotary._rotate(q, *rotary._rotary_table(shifts + (1, 2, 3), cfg, q.dtype))
+    kb = rotary._rotate(k, *rotary._rotary_table(shifts + (4, 1, 5), cfg, k.dtype))
+    dots = (qa * kb).sum(axis=1)
+    spread = (dots.max() - dots.min()) / max(abs(dots[0]), 1e-9)
     out.append(_result("rotary-shift-invariance", spread, 1e-5))
 
     z = rng.standard_normal((4, 3))

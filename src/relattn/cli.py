@@ -24,7 +24,7 @@ from .checks import CheckResult, run_checks
 from .corpus import builtin_corpus
 from .layout import LayoutError, LayoutSpec, parse_spec
 from .masks import build_csam, build_mcam, write_csam_csv, write_csam_pgm, write_mcam_csv, write_mcam_pgm
-from .rotary import assign_positions
+from .rotary import _position_array
 
 FORWARD_CHANNELS = 16
 FORWARD_TEXT_CHANNELS = 12
@@ -84,7 +84,7 @@ def cmd_masks(args) -> RunReport:
 
     csam = build_csam(spec)
     mcam = build_mcam(spec)
-    positions = assign_positions(spec)
+    positions = _position_array(spec)
 
     write_csam_csv(out_dir / "csam.csv", csam)
     write_csam_pgm(out_dir / "csam.pgm", csam)
@@ -94,7 +94,8 @@ def cmd_masks(args) -> RunReport:
         write_mcam_pgm(out_dir / "mcam.pgm", mcam)
         report.artifacts += [str(out_dir / "mcam.csv"), str(out_dir / "mcam.pgm")]
 
-    pos_lines = ["flat,i,j,k"] + [f"{f},{p.i},{p.j},{p.k}" for f, p in enumerate(positions)]
+    pos_lines = ["flat,i,j,k"]
+    pos_lines += [f"{f},{i},{j},{k}" for f, (i, j, k) in enumerate(positions.tolist())]
     (out_dir / "positions.csv").write_bytes(("\n".join(pos_lines) + "\n").encode("ascii"))
     blk_lines = ["q0,q1,k0,k1"] + [f"{b.q0},{b.q1},{b.k0},{b.k1}" for b in csam.blocks]
     (out_dir / "blocks.csv").write_bytes(("\n".join(blk_lines) + "\n").encode("ascii"))

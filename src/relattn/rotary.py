@@ -62,6 +62,28 @@ def default_config(head_dim: int, base: float = 10000.0) -> RotaryConfig:
     return RotaryConfig(head_dim=head_dim, split=default_split(head_dim), base=base)
 
 
+def _position_array(spec: LayoutSpec) -> np.ndarray:
+    """(n, 3) int64 array of the (i, j, k) triple of every token.
+
+    Each frame of the concatenated sequence (the video frames, then one per
+    entity) adds its (i, dj, dk) offset to the raster (0, col, row) grid.
+    """
+    offsets = [(frame, 0, 0) for frame in range(spec.T)]
+    group_of = {m: g for g, members in enumerate(spec.groups) for m in members}
+    member_of = {m: n for members in spec.groups for n, m in enumerate(members)}
+    bgobj_ordinal = 0
+    for e, ent in enumerate(spec.entities):
+        if ent.kind in SUBJECT_KINDS:
+            m = member_of[e]
+            offsets.append((group_of[e] + spec.T + spec.n_bgobj, spec.W * m, spec.H * m))
+        else:
+            offsets.append((bgobj_ordinal + spec.T, 0, 0))
+            bgobj_ordinal += 1
+    row, col = np.divmod(np.arange(spec.H * spec.W, dtype=np.int64), spec.W)
+    grid = np.stack([np.zeros_like(col), col, row], axis=1)
+    return (np.array(offsets, dtype=np.int64)[:, None, :] + grid).reshape(-1, 3)
+
+
 def assign_positions(spec: LayoutSpec) -> list[Position3]:
     """One position triple per token of the concatenated sequence.
 
@@ -69,28 +91,7 @@ def assign_positions(spec: LayoutSpec) -> list[Position3]:
     branches live at dedicated temporal indices and group members are
     separated by the diagonal spatial offsets.
     """
-    positions: list[Position3] = []
-    for frame in range(spec.T):
-        for row in range(spec.H):
-            for col in range(spec.W):
-                positions.append(Position3(i=frame, j=col, k=row))
-
-    group_of = {m: g for g, members in enumerate(spec.groups) for m in members}
-    member_of = {m: n for members in spec.groups for n, m in enumerate(members)}
-    bgobj_ordinal = 0
-    for e, ent in enumerate(spec.entities):
-        if ent.kind in SUBJECT_KINDS:
-            i = group_of[e] + spec.T + spec.n_bgobj
-            m = member_of[e]
-            dj, dk = spec.W * m, spec.H * m
-        else:
-            i = bgobj_ordinal + spec.T
-            bgobj_ordinal += 1
-            dj = dk = 0
-        for row in range(spec.H):
-            for col in range(spec.W):
-                positions.append(Position3(i=i, j=col + dj, k=row + dk))
-    return positions
+    return [Position3(i, j, k) for i, j, k in _position_array(spec).tolist()]
 
 
 def positions_as_array(positions: Sequence[Position3]) -> np.ndarray:
@@ -103,6 +104,28 @@ def _band_angles(coord: np.ndarray, d_axis: int, base: float) -> np.ndarray:
     m = np.arange(d_axis // 2, dtype=np.float64)
     theta = base ** (-2.0 * m / d_axis)
     return coord[:, None] * theta[None, :]
+
+
+def _rotary_table(pos: np.ndarray, cfg: RotaryConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the per-band angles of each (i, j, k) row of ``pos``,
+    each (n, head_dim/2) in ``dtype``.  Rotating by (cos, -sin) applies the
+    inverse rotation, bit-exactly, since sin(-a) == -sin(a)."""
+    pos = pos.astype(np.float64)
+    angles = np.concatenate(
+        [_band_angles(pos[:, axis], d_axis, cfg.base) for axis, d_axis in enumerate(cfg.split)],
+        axis=1,
+    )
+    return np.cos(angles).astype(dtype, copy=False), np.sin(angles).astype(dtype, copy=False)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the interleaved channel pairs of each row of ``x``."""
+    even = x[:, 0::2]
+    odd = x[:, 1::2]
+    out = np.empty_like(x)
+    out[:, 0::2] = even * cos - odd * sin
+    out[:, 1::2] = even * sin + odd * cos
+    return out
 
 
 def apply_rotary(
@@ -122,20 +145,5 @@ def apply_rotary(
         raise ValueError(f"x must be (tokens, {cfg.head_dim}), got {x.shape}")
     if x.shape[0] != len(positions):
         raise ValueError(f"{x.shape[0]} rows but {len(positions)} positions")
-
-    pos = positions_as_array(positions).astype(np.float64)
-    angles = np.concatenate(
-        [_band_angles(pos[:, axis], d_axis, cfg.base) for axis, d_axis in enumerate(cfg.split)],
-        axis=1,
-    )
-    if inverse:
-        angles = -angles
-    cos = np.cos(angles).astype(x.dtype, copy=False)
-    sin = np.sin(angles).astype(x.dtype, copy=False)
-
-    even = x[:, 0::2]
-    odd = x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
-    return out
+    cos, sin = _rotary_table(positions_as_array(positions), cfg, x.dtype)
+    return _rotate(x, cos, -sin if inverse else sin)

@@ -339,3 +339,51 @@ def test_softmax_shift_invariance(seed):
         Q, K, V, ones, s_const, AttnConfig(r=1.0), return_weights=True
     )
     assert np.max(np.abs(w - w2)) < 1e-6
+
+
+# --- one finite-input contract -------------------------------------------------
+
+FINITE_SPEC = make_spec(1, 2, 3, bg=1, groups=(1,))
+_N, _L = FINITE_SPEC.n_tokens, FINITE_SPEC.text_len
+# kernel -> (rows of each array argument, call on those arrays)
+FINITE_KERNELS = {
+    "standard_attention": (
+        {"Q": _N, "K": _L, "V": _L},
+        lambda a: standard_attention(a["Q"], a["K"], a["V"]),
+    ),
+    "relational_cross_attention": (
+        {"Q": _N, "K": _L, "V": _L, "s": _N},
+        lambda a: relational_cross_attention(
+            a["Q"], a["K"], a["V"], build_mcam(FINITE_SPEC), a["s"], AttnConfig()
+        ),
+    ),
+    "masked_self_attention_blockwise": (
+        {"Q": _N, "K": _N, "V": _N},
+        lambda a: masked_self_attention_blockwise(
+            a["Q"], a["K"], a["V"], build_csam(FINITE_SPEC).blocks
+        ),
+    ),
+    "masked_self_attention_naive": (
+        {"Q": _N, "K": _N, "V": _N},
+        lambda a: masked_self_attention_naive(a["Q"], a["K"], a["V"], build_csam(FINITE_SPEC)),
+    ),
+    "compute_scaling_s": (
+        {"Q": _N, "K_text": _L},
+        lambda a: compute_scaling_s(a["Q"], a["K_text"], FINITE_SPEC, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, arg", [(k, arg) for k, (rows, _) in FINITE_KERNELS.items() for arg in rows]
+)
+def test_non_finite_input_rejected(kernel, arg):
+    rows, call = FINITE_KERNELS[kernel]
+    args = {
+        name: rnd((n, _L if name == "s" else 4), seed)
+        for seed, (name, n) in enumerate(rows.items())
+    }
+    assert np.isfinite(call(args)).all()
+    args[arg][0, 0] = np.nan
+    with pytest.raises(ValueError, match=f"{arg} contains non-finite"):
+        call(args)

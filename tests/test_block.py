@@ -288,3 +288,28 @@ def test_weights_validation():
     bad["wq"] = np.full_like(bad["wq"], np.nan)
     with pytest.raises(ValueError):
         BlockWeights(**bad)
+
+
+def test_grad_check_pooling_ragged_on_both_axes_across_frames():
+    # d=2 over a 3 x 5 grid leaves ragged patches on both axes, and the
+    # background, face and attribute frames each pool separately
+    spec = make_spec(2, 3, 5, bg=1, groups=(1,))
+    rng = np.random.default_rng(14)
+    weights = init_weights(rng, channels=8, text_channels=6, dtype=np.float64)
+    x = rng.standard_normal((spec.n_tokens, 8))
+    text = rng.standard_normal((spec.text_len, 6))
+    target = rng.standard_normal(x.shape)
+    report = grad_check(
+        weights,
+        x,
+        text,
+        spec,
+        AttnConfig(d=2),
+        target,
+        arrays=["cq", "ck", "z_tokens", "text"],
+        check_inputs=True,
+        max_coords=200,
+        seed=15,
+    )
+    assert report.n_coords == 200
+    assert report.max_rel_error < 1e-3
