@@ -27,12 +27,11 @@ _CROSS_TILE = 128
 
 @dataclass(frozen=True)
 class AttnConfig:
-    """Cross-attention knobs: level-mask strength ``r``, spatial pooling
-    factor ``d``, and an optional logit scale override (default 1/sqrt(d_K))."""
+    """Cross-attention knobs: level-mask strength ``r`` and spatial pooling
+    factor ``d``."""
 
     r: float = 0.5
     d: int = 8
-    scale: float | None = None
 
     def __post_init__(self):
         if self.r < 0:
@@ -166,6 +165,12 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
     block is walked in query-row tiles through one reused logits buffer, so
     memory stays O(tile x widest block) whatever the sequence length.
     """
+    return _blockwise(Q, K, V, blocks, scale)[0]
+
+
+def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
+    """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
+    of its scaled logits, from which :func:`_blockwise_bwd` recomputes weights."""
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
     if K.shape[0] != n or V.shape[0] != n:
@@ -199,7 +204,33 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
             acc[qs] += logits @ Vb
             normalizer[qs] = normalizer[qs] * carry + logits.sum(axis=1)
             running_max[qs] = new_max
-    return acc / normalizer[:, None]
+    return acc / normalizer[:, None], running_max + np.log(normalizer)
+
+
+def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
+    """Gradients (dQ, dK, dV) of :func:`_blockwise` given ``g`` at its output.
+
+    The FlashAttention backward: walks the same cover in query tiles and
+    recomputes each tile's weights P = exp(Q K^T scale - lse) instead of
+    keeping them; with D = rowsum(g * out) the gradient of Q K^T is
+    P * (g V^T - D) * scale, and ``scale`` is folded into Q and K here."""
+    dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
+    D = (g * out).sum(axis=1, keepdims=True)
+    Qs, Ks = Q * scale, K * scale
+    for blk in blocks:
+        ks = slice(blk.k0, blk.k1)
+        for q0 in range(blk.q0, blk.q1, _SELF_TILE):
+            qs = slice(q0, min(q0 + _SELF_TILE, blk.q1))
+            P = Qs[qs] @ K[ks].T
+            P -= lse[qs, None]
+            np.exp(P, out=P)
+            dV[ks] += P.T @ g[qs]
+            dS = g[qs] @ V[ks].T
+            dS -= D[qs]
+            dS *= P
+            dQ[qs] += dS @ Ks[ks]
+            dK[ks] += dS.T @ Qs[qs]
+    return dQ, dK, dV
 
 
 def _patch_edges(extent: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,5 +306,4 @@ def relational_cross_attention(
     if K.shape[0] == 0:
         raise ValueError("cross-attention requires at least one text token")
 
-    scale = cfg.scale if cfg.scale is not None else _default_scale(K.shape[1])
-    return _attend(Q, K, V, scale, return_weights, level_term=(levels, s, cfg.r))
+    return _attend(Q, K, V, _default_scale(K.shape[1]), return_weights, level_term=(levels, s, cfg.r))

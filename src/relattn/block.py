@@ -3,31 +3,30 @@
 One block = pre-norm masked self-attention (rotary positions, block-streaming
 kernel) -> pre-norm relational cross-attention (level mask with pooled
 scaling) -> pre-norm pointwise MLP, each followed by a residual add.  One
-forward serves the production block, the plain baseline and the taped path;
-the block is small enough to differentiate by hand, and the backward of the
-taped forward supports finite-difference verification and the demo trainer.
+forward, on one kernel per attention, serves the production block, the plain
+baseline and the taped path; its hand-derived backward supports
+finite-difference verification and the demo trainer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attention import (
     AttnConfig,
+    _blockwise,
+    _blockwise_bwd,
     _default_scale,
     _patch_repeat,
     _patch_sum,
     compute_scaling_s,
-    masked_self_attention_blockwise,
-    masked_self_attention_naive,
     relational_cross_attention,
-    standard_attention,
 )
 from .layout import LayoutSpec
-from .masks import CsamMask, McamMask, build_csam, build_mcam
+from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
 from .rotary import _position_array, _rotary_table, _rotate, default_config
 
 _LN_EPS = 1e-6
@@ -197,10 +196,6 @@ def _layer_norm_bwd(gy, y, inv):
     return inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
 
 
-def _softmax_bwd(gw, w):
-    return w * (gw - (gw * w).sum(axis=1, keepdims=True))
-
-
 # ---------------------------------------------------------------------------
 # forward
 
@@ -222,14 +217,14 @@ def _prepare(weights, z_tokens, text, spec, dtype=None):
     return w, x, text, rot
 
 
-def _forward(w: BlockWeights, x, text, spec, cfg, rot, csam, mcam, tape=None):
+def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, mcam, tape=None):
     """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
     sub-layer added back to its input.
 
-    ``csam``/``mcam`` of None give the plain baseline (unmasked attention in
-    both sub-layers).  A ``tape`` dict switches self-attention to the dense
-    masked kernel and records every intermediate :func:`_backward` needs;
-    the dense kernel equals the streaming one up to float rounding.
+    Self-attention streams over the block cover ``blocks``.  A ``tape`` dict
+    records every intermediate :func:`_backward` needs: per head the
+    self-attention inputs, output and row log-sum-exp, and the dense
+    cross-attention weights.
     """
     cos, sin = rot
     u, inv = _layer_norm(x)
@@ -239,13 +234,9 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, csam, mcam, tape=None):
         q = _rotate(u @ w.wq[h], cos, sin)
         k = _rotate(u @ w.wk[h], cos, sin)
         v = u @ w.wv[h]
-        if csam is None:
-            a = standard_attention(q, k, v)
-        elif tape is None:
-            a = masked_self_attention_blockwise(q, k, v, csam.blocks)
-        else:
-            a, att = masked_self_attention_naive(q, k, v, csam, return_weights=True)
-            self_tape.append((q, k, v, att, a))
+        a, lse = _blockwise(q, k, v, blocks)
+        if tape is not None:
+            self_tape.append((q, k, v, a, lse))
         sa += a @ w.wo[h]
     x1 = x + sa
 
@@ -257,17 +248,12 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, csam, mcam, tape=None):
             qc = u2 @ w.cq[h]
             kc = text @ w.ck[h]
             vc = text @ w.cv[h]
-            if mcam is None:
-                a = standard_attention(qc, kc, vc)
+            s = compute_scaling_s(qc, kc, spec, cfg.d)
+            if tape is None:
+                a = relational_cross_attention(qc, kc, vc, mcam, s, cfg)
             else:
-                s = compute_scaling_s(qc, kc, spec, cfg.d)
-                if tape is None:
-                    a = relational_cross_attention(qc, kc, vc, mcam, s, cfg)
-                else:
-                    a, att = relational_cross_attention(
-                        qc, kc, vc, mcam, s, cfg, return_weights=True
-                    )
-                    cross_tape.append((qc, kc, vc, att, a))
+                a, att = relational_cross_attention(qc, kc, vc, mcam, s, cfg, return_weights=True)
+                cross_tape.append((qc, kc, vc, att, a))
             ca += a @ w.co[h]
         x2 = x1 + ca
     else:
@@ -303,7 +289,7 @@ def block_forward(
     w, x, text, rot = _prepare(weights, z_tokens, text, spec)
     csam = csam if csam is not None else build_csam(spec)
     mcam = mcam if mcam is not None else build_mcam(spec)
-    y = _forward(w, x, text, spec, cfg, rot, csam, mcam)
+    y = _forward(w, x, text, spec, cfg, rot, csam.blocks, mcam)
     if not np.isfinite(y).all():
         raise ValueError("block produced non-finite output")
     return y
@@ -316,21 +302,22 @@ def plain_block_forward(
     spec: LayoutSpec,
     cfg: AttnConfig,
 ) -> np.ndarray:
-    """Non-relational baseline: same weights and rotary positions, but dense
-    unmasked self-attention and plain cross-attention (no level mask)."""
-    w, x, text, rot = _prepare(weights, z_tokens, text, spec)
-    return _forward(w, x, text, spec, cfg, rot, None, None)
+    """Non-relational baseline: the same block with one full-square cover
+    (every query sees every key) and no level-mask term (r=0)."""
+    full = CsamMask(spec.n_tokens, (Block(0, spec.n_tokens, 0, spec.n_tokens),))
+    return block_forward(weights, z_tokens, text, spec, replace(cfg, r=0.0), full)
 
 
 # ---------------------------------------------------------------------------
 # hand-derived backward of the taped forward (float64)
 
 
-def _backward(w: BlockWeights, tape, spec, cfg, rot, mcam, gy):
+def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, mcam, gy):
     """Gradients of a scalar loss w.r.t. every weight array and both inputs,
     given the loss gradient at the block output."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
     text = tape["text"]
+    scale = _default_scale(w.head_dim)
 
     # mlp
     u3, inv3, h1, act = tape["u3"], tape["inv3"], tape["h1"], tape["act"]
@@ -345,7 +332,6 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, mcam, gy):
     gtext = np.zeros_like(text)
     if text.shape[0] > 0:
         u2, inv2 = tape["u2"], tape["inv2"]
-        cscale = cfg.scale if cfg.scale is not None else _default_scale(w.head_dim)
         cells = _patch_sum(np.ones_like(u2[:, :1]), spec, cfg.d)
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
@@ -354,7 +340,7 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, mcam, gy):
             ga = gx2 @ w.co[h].T
             gatt = ga @ vc.T
             gvc = att.T @ ga
-            glog = _softmax_bwd(gatt, att) * cscale
+            glog = att * (gatt - (gatt * att).sum(axis=1, keepdims=True)) * scale
             gqc = glog @ kc
             gkc = glog.T @ qc
             # scaling-matrix path: s = repeat(|pooled kc^T|), pooled = patch mean of qc
@@ -374,19 +360,14 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, mcam, gy):
         gx1 = gx2
 
     # self-attention
-    scale = _default_scale(w.head_dim)
     cos, sin = rot
     u, inv = tape["u"], tape["inv"]
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
-        q, k, v, att, a = tape["self"][h]
+        q, k, v, a, lse = tape["self"][h]
         g["wo"][h] += a.T @ gx1
-        ga = gx1 @ w.wo[h].T
-        gatt = ga @ v.T
-        gv = att.T @ ga
-        glog = _softmax_bwd(gatt, att) * scale
-        gq = _rotate(glog @ k, cos, -sin)
-        gk = _rotate(glog.T @ q, cos, -sin)
+        gq, gk, gv = _blockwise_bwd(q, k, v, a, lse, gx1 @ w.wo[h].T, blocks, scale)
+        gq, gk = _rotate(gq, cos, -sin), _rotate(gk, cos, -sin)
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk
         g["wv"][h] += u.T @ gv
@@ -419,13 +400,13 @@ def loss_and_gradients(
     """
     w, x, text, rot = _prepare(weights, z_tokens, text, spec, np.float64)
     target = np.asarray(target, dtype=np.float64)
-    mcam = build_mcam(spec)
+    blocks, mcam = build_csam(spec).blocks, build_mcam(spec)
     tape: dict = {}
-    y = _forward(w, x, text, spec, cfg, rot, build_csam(spec), mcam, tape)
+    y = _forward(w, x, text, spec, cfg, rot, blocks, mcam, tape)
     loss, rows, diff = _row_loss(y, target, loss_rows)
     gy = np.zeros_like(y)
     gy[rows] = 2.0 * diff / diff.size
-    grads, gx, gtext = _backward(w, tape, spec, cfg, rot, mcam, gy)
+    grads, gx, gtext = _backward(w, tape, spec, cfg, rot, blocks, mcam, gy)
     return loss, grads, gx, gtext
 
 
@@ -475,10 +456,10 @@ def grad_check(
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
     w, x, text, rot = _prepare(weights.astype(np.float64), z_tokens, text, spec, np.float64)
     target = np.asarray(target, dtype=np.float64)
-    csam, mcam = build_csam(spec), build_mcam(spec)
+    blocks, mcam = build_csam(spec).blocks, build_mcam(spec)
 
     def taped_loss() -> float:
-        y = _forward(w, x, text, spec, cfg, rot, csam, mcam, tape={})
+        y = _forward(w, x, text, spec, cfg, rot, blocks, mcam)
         return _row_loss(y, target, loss_rows)[0]
 
     loss, grads, gx, gtext = loss_and_gradients(w, x, text, spec, cfg, target, loss_rows)

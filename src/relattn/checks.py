@@ -286,12 +286,9 @@ def check_global(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def run_checks(
-    layouts: list[tuple[str, LayoutSpec]], seed: int = 0, with_global: bool = True
-) -> list[CheckResult]:
+def run_checks(layouts: list[tuple[str, LayoutSpec]], seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
     for name, spec in layouts:
         results.extend(check_layout(name, spec, seed=seed))
-    if with_global:
-        results.extend(check_global(seed=seed))
+    results.extend(check_global(seed=seed))
     return results

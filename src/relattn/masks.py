@@ -42,15 +42,15 @@ class CsamMask:
     """Self-attention mask (row = query) as a disjoint block cover.
 
     ``bits``, the dense boolean matrix, is materialized from the cover on
-    first access unless it was passed in; the streaming kernel never needs it.
+    first access; the streaming kernel never needs it.
     """
 
     __slots__ = ("n", "blocks", "_bits")
 
-    def __init__(self, n: int, bits: np.ndarray | None = None, blocks: Sequence[Block] = ()):
+    def __init__(self, n: int, blocks: Sequence[Block]):
         self.n = n
         self.blocks = tuple(blocks)
-        self._bits = bits
+        self._bits = None
 
     @property
     def bits(self) -> np.ndarray:
@@ -85,7 +85,7 @@ def build_csam(spec: LayoutSpec) -> CsamMask:
         end = start + sum(1 for _ in run) * spec.hw
         blocks.append(Block(start, end, start, end))
         start = end
-    return CsamMask(n, None, blocks)
+    return CsamMask(n, blocks)
 
 
 def decompose_blocks(mask: np.ndarray) -> list[Block]:

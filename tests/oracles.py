@@ -197,3 +197,23 @@ def csam_oracle_vectorized(spec) -> np.ndarray:
     branch = np.array([ids[key] for key in keys])
     video = np.array([key == "video" for key in keys])
     return video[:, None] | (branch[:, None] == branch[None, :])
+
+
+def masked_attention_grads_oracle(Q, K, V, bits, g, scale=None):
+    """(dQ, dK, dV) of sum(g * masked attention(Q, K, V)) in float64, one
+    query row at a time through the explicit softmax Jacobian
+    diag(w) - w w^T over the row's admissible keys."""
+    Q, K, V, g = (np.asarray(a, dtype=np.float64) for a in (Q, K, V, g))
+    if scale is None:
+        scale = 1.0 / math.sqrt(K.shape[1])
+    dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
+    for qi in range(Q.shape[0]):
+        keys = np.flatnonzero(bits[qi])
+        logits = (K[keys] @ Q[qi]) * scale
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
+        dlogits = (np.diag(w) - np.outer(w, w)) @ (V[keys] @ g[qi]) * scale
+        dV[keys] += np.outer(w, g[qi])
+        dQ[qi] += dlogits @ K[keys]
+        dK[keys] += np.outer(dlogits, Q[qi])
+    return dQ, dK, dV

@@ -22,7 +22,7 @@ def rnd(shape, seed=0, dtype=np.float32):
 
 def full_mask(n):
     bits = np.ones((n, n), dtype=bool)
-    return CsamMask(n=n, bits=bits, blocks=tuple(decompose_blocks(bits)))
+    return CsamMask(n=n, blocks=tuple(decompose_blocks(bits)))
 
 
 # --- standard attention ------------------------------------------------------
@@ -111,7 +111,7 @@ def test_naive_validates():
     empty_row[1] = False
     with pytest.raises(ValueError, match="no admissible key"):
         masked_self_attention_naive(
-            rnd((2, 4)), rnd((2, 4)), rnd((2, 4)), CsamMask(2, empty_row, ())
+            rnd((2, 4)), rnd((2, 4)), rnd((2, 4)), CsamMask(2, decompose_blocks(empty_row))
         )
 
 

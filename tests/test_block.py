@@ -115,7 +115,7 @@ def test_relational_off_equals_plain_block(setup):
     spec, weights, x, text = setup
     n = spec.n_tokens
     bits = np.ones((n, n), dtype=bool)
-    all_true = CsamMask(n=n, bits=bits, blocks=tuple(decompose_blocks(bits)))
+    all_true = CsamMask(n=n, blocks=tuple(decompose_blocks(bits)))
     relational = block_forward(weights, x, text, spec, AttnConfig(r=0.0), csam=all_true)
     plain = plain_block_forward(weights, x, text, spec, AttnConfig())
     scale = np.max(np.abs(plain))

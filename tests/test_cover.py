@@ -41,7 +41,7 @@ def test_csam_structure_check_catches_a_wrong_cover(monkeypatch):
     # merging the last two condition branches keeps every other structural
     # property of the mask; only the branch rule tells them apart
     *head, a, b = right.blocks
-    wrong = CsamMask(right.n, None, (*head, Block(a.q0, b.q1, a.k0, b.k1)))
+    wrong = CsamMask(right.n, (*head, Block(a.q0, b.q1, a.k0, b.k1)))
     assert dict((r.name, r.passed) for r in check_layout("showcase", spec))["csam-structure[showcase]"]
     monkeypatch.setattr(masks, "build_csam", lambda _: wrong)
     assert not dict((r.name, r.passed) for r in check_layout("showcase", spec))["csam-structure[showcase]"]
