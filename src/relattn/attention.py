@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,10 +35,10 @@ class AttnConfig:
     d: int = 8
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
 
 
 def _as_matrix(name: str, x: np.ndarray) -> np.ndarray:
@@ -54,21 +55,21 @@ def _default_scale(k_cols: int) -> float:
 
 
 def _attend(Q, K, V, scale, return_weights, level_term=None):
-    """softmax((Q K^T [+ levels * s * r]) * scale) V with row-max stabilization.
+    """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization.
 
-    ``level_term=(levels, s, r)`` adds the relational mask term; with r=0 it
-    adds exact zeros, so the result is bit-identical to ``level_term=None``.
-    Queries are processed in row tiles through one reused logits buffer (or
-    straight into the returned weight matrix), so both paths, and both
-    values of ``return_weights``, run the same arithmetic.
+    ``level_term=(table, index, first)`` adds ``table[index[i]]``, the
+    relational levels * s * r stored once per distinct row, to every query
+    row ``i >= first``; earlier rows have all-zero levels and skip it.
+    Queries run in row tiles through one reused logits buffer (or the
+    returned weights), so both ``return_weights`` paths run the same arithmetic.
     """
     n, L = Q.shape[0], K.shape[0]
     if level_term is None:
-        dt = np.result_type(Q, K)
+        dt, first = np.result_type(Q, K), n
     else:
-        levels, s, r = level_term
-        dt = np.result_type(Q, K, s)
-        term = np.empty((min(_CROSS_TILE, n), L), dtype=dt)
+        table, index, first = level_term
+        dt = np.result_type(Q, K, table)
+        term = np.empty((min(_CROSS_TILE, n), L), dtype=table.dtype)
     out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
     weights = np.empty((n if return_weights else min(_CROSS_TILE, n), L), dtype=dt)
     sc = dt.type(scale)
@@ -78,10 +79,11 @@ def _attend(Q, K, V, scale, return_weights, level_term=None):
         m = rows.stop - q0
         logits = weights[rows] if return_weights else weights[:m]
         np.matmul(Q[rows], Kt, out=logits)
-        if level_term is not None:
-            np.multiply(levels[rows], s[rows], out=term[:m])
-            term[:m] *= dt.type(r)
-            logits += term[:m]
+        lo = max(q0, first)
+        if lo < rows.stop:
+            t = term[: rows.stop - lo]
+            np.take(table, index[lo : rows.stop], axis=0, out=t, mode="clip")
+            logits[lo - q0 :] += t
         logits *= sc
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
@@ -233,31 +235,30 @@ def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
     return dQ, dK, dV
 
 
-def _patch_edges(extent: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and cell counts of the d-sized patches along one axis;
-    the last patch may be ragged."""
-    starts = np.arange(0, extent, d)
-    counts = np.diff(np.append(starts, extent))
-    return starts, counts
-
-
 def _patch_sum(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
     """Sum of the rows of ``x`` over each d x d patch of every frame, as a
     (frames * patches, channels) array in frame-major, row-major patch order.
     A column of ones sums to the token count of each patch."""
     grid = x.reshape(spec.T + spec.n_entities, spec.H, spec.W, x.shape[1])
-    sums = np.add.reduceat(grid, _patch_edges(spec.H, d)[0], axis=1)
-    sums = np.add.reduceat(sums, _patch_edges(spec.W, d)[0], axis=2)
+    sums = np.add.reduceat(grid, np.arange(0, spec.H, d), axis=1)
+    sums = np.add.reduceat(sums, np.arange(0, spec.W, d), axis=2)
     return sums.reshape(-1, x.shape[1])
 
 
-def _patch_repeat(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
-    """Transpose of :func:`_patch_sum`: each patch row of ``x`` repeated over
-    the patch's tokens, as an (n_tokens, channels) array."""
-    row_counts, col_counts = _patch_edges(spec.H, d)[1], _patch_edges(spec.W, d)[1]
-    grid = x.reshape(spec.T + spec.n_entities, len(row_counts), len(col_counts), x.shape[1])
-    full = np.repeat(np.repeat(grid, row_counts, axis=1), col_counts, axis=2)
-    return full.reshape(spec.n_tokens, x.shape[1])
+def _patch_geometry(spec: LayoutSpec, d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Token count of every d x d patch in :func:`_patch_sum` order, and each
+    token's patch as a row index into it: indexing a patch array with it
+    repeats each patch row over the patch's tokens."""
+    cells = _patch_sum(np.ones((spec.n_tokens, 1), dtype), spec, d)
+    per_row, frames = -(-spec.W // d), spec.T + spec.n_entities
+    in_frame = ((np.arange(spec.H) // d)[:, None] * per_row + np.arange(spec.W) // d).ravel()
+    return cells, (np.arange(frames)[:, None] * (len(cells) // frames) + in_frame).ravel()
+
+
+def _pooled_similarity(Q, K_text, spec: LayoutSpec, d: int, cells: np.ndarray) -> np.ndarray:
+    """|pooled Q K_text^T| with one row per d x d patch of every frame, in
+    :func:`_patch_sum` order; ``cells`` holds each patch's token count."""
+    return np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)
 
 
 def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
@@ -276,9 +277,8 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
     if Q.shape[1] != K_text.shape[1]:
         raise ValueError(f"Q and K_text feature dims differ: {Q.shape[1]} vs {K_text.shape[1]}")
 
-    cells = _patch_sum(np.ones((Q.shape[0], 1), Q.dtype), spec, d)
-    pooled = _patch_sum(Q, spec, d) / cells
-    return _patch_repeat(np.abs(pooled @ K_text.T), spec, d)
+    cells, row_patch = _patch_geometry(spec, d, Q.dtype)
+    return _pooled_similarity(Q, K_text, spec, d, cells)[row_patch]
 
 
 def relational_cross_attention(
@@ -306,4 +306,5 @@ def relational_cross_attention(
     if K.shape[0] == 0:
         raise ValueError("cross-attention requires at least one text token")
 
-    return _attend(Q, K, V, _default_scale(K.shape[1]), return_weights, level_term=(levels, s, cfg.r))
+    table = levels * (s * np.result_type(Q, K, s).type(cfg.r))
+    return _attend(Q, K, V, _default_scale(K.shape[1]), return_weights, (table, np.arange(len(Q)), 0))

@@ -17,13 +17,13 @@ import numpy as np
 
 from .attention import (
     AttnConfig,
+    _attend,
     _blockwise,
     _blockwise_bwd,
     _default_scale,
-    _patch_repeat,
+    _patch_geometry,
     _patch_sum,
-    compute_scaling_s,
-    relational_cross_attention,
+    _pooled_similarity,
 )
 from .layout import LayoutSpec
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
@@ -200,8 +200,18 @@ def _layer_norm_bwd(gy, y, inv):
 # forward
 
 
-def _prepare(weights, z_tokens, text, spec, dtype=None):
-    """Validated inputs, weights in the inputs' dtype, and the rotary table."""
+def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
+    """Validated inputs, weights in the inputs' dtype, the rotary table and
+    the patch geometry of the level term, which every head shares: each
+    patch's cell count, each token's patch and each patch's level row."""
+    rows = mcam.entity_levels
+    if rows is None:
+        raise ValueError("mcam has no entity level rows: pass the result of build_mcam(spec)")
+    if rows.shape != (spec.n_entities, spec.text_len):
+        raise ValueError(
+            f"mcam levels are {rows.shape[0]} entities x {rows.shape[1]} caption tokens, "
+            f"the layout's {spec.n_entities} x {spec.text_len}"
+        )
     x = np.asarray(z_tokens, dtype=dtype)
     text = np.asarray(text, dtype=dtype)
     if x.ndim != 2 or x.shape != (spec.n_tokens, weights.channels):
@@ -212,19 +222,26 @@ def _prepare(weights, z_tokens, text, spec, dtype=None):
         raise ValueError(f"text must have {spec.text_len} rows, got {text.shape}")
     if text.shape[0] and text.shape[1] != weights.ck.shape[1]:
         raise ValueError(f"text must have {weights.ck.shape[1]} channels, got {text.shape[1]}")
+    if not np.isfinite(text).all():
+        raise ValueError("text contains non-finite entries")
     w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
     rot = _rotary_table(_position_array(spec), default_config(w.head_dim), x.dtype)
-    return w, x, text, rot
+    cells, row_patch = _patch_geometry(spec, cfg.d, x.dtype)
+    per_frame = len(cells) // (spec.T + spec.n_entities)
+    levels = np.zeros((len(cells), spec.text_len), dtype=np.int8)  # all zero in the video frames
+    levels[spec.T * per_frame :] = np.repeat(rows, per_frame, axis=0)
+    return w, x, text, rot, (cells, row_patch, levels)
 
 
-def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, mcam, tape=None):
+def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=None):
     """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
     sub-layer added back to its input.
 
-    Self-attention streams over the block cover ``blocks``.  A ``tape`` dict
-    records every intermediate :func:`_backward` needs: per head the
-    self-attention inputs, output and row log-sum-exp, and the dense
-    cross-attention weights.
+    Self-attention streams over the block cover ``blocks``; cross-attention
+    reads its level term from a table with one row per d x d patch, and the
+    video rows, whose level is zero, skip it.  A ``tape`` dict records every
+    intermediate :func:`_backward` needs: per head the self-attention inputs,
+    output and row log-sum-exp, and the dense cross-attention weights.
     """
     cos, sin = rot
     u, inv = _layer_norm(x)
@@ -242,17 +259,22 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, mcam, tape=None):
 
     cross_tape = []
     if text.shape[0] > 0:
+        cells, row_patch, levels = patches
+        scale = _default_scale(w.head_dim)
         u2, inv2 = _layer_norm(x1)
         ca = np.zeros_like(x1)
         for h in range(w.n_heads):
             qc = u2 @ w.cq[h]
             kc = text @ w.ck[h]
             vc = text @ w.cv[h]
-            s = compute_scaling_s(qc, kc, spec, cfg.d)
+            table = _pooled_similarity(qc, kc, spec, cfg.d, cells)
+            table *= table.dtype.type(cfg.r)
+            table *= levels  # level * (s * r), as the dense kernel's levels * s * r
+            level_term = (table, row_patch, spec.n_video_tokens)
             if tape is None:
-                a = relational_cross_attention(qc, kc, vc, mcam, s, cfg)
+                a = _attend(qc, kc, vc, scale, False, level_term)
             else:
-                a, att = relational_cross_attention(qc, kc, vc, mcam, s, cfg, return_weights=True)
+                a, att = _attend(qc, kc, vc, scale, True, level_term)
                 cross_tape.append((qc, kc, vc, att, a))
             ca += a @ w.co[h]
         x2 = x1 + ca
@@ -286,10 +308,10 @@ def block_forward(
     Computation follows the dtype of ``z_tokens``; the self-attention uses
     the block-streaming kernel over the mask's block cover.
     """
-    w, x, text, rot = _prepare(weights, z_tokens, text, spec)
     csam = csam if csam is not None else build_csam(spec)
     mcam = mcam if mcam is not None else build_mcam(spec)
-    y = _forward(w, x, text, spec, cfg, rot, csam.blocks, mcam)
+    w, x, text, rot, patches = _prepare(weights, z_tokens, text, spec, cfg, mcam)
+    y = _forward(w, x, text, spec, cfg, rot, csam.blocks, patches)
     if not np.isfinite(y).all():
         raise ValueError("block produced non-finite output")
     return y
@@ -312,7 +334,7 @@ def plain_block_forward(
 # hand-derived backward of the taped forward (float64)
 
 
-def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, mcam, gy):
+def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     """Gradients of a scalar loss w.r.t. every weight array and both inputs,
     given the loss gradient at the block output."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
@@ -332,7 +354,7 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, mcam, gy):
     gtext = np.zeros_like(text)
     if text.shape[0] > 0:
         u2, inv2 = tape["u2"], tape["inv2"]
-        cells = _patch_sum(np.ones_like(u2[:, :1]), spec, cfg.d)
+        cells, row_patch, levels = patches
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
             qc, kc, vc, att, a = tape["cross"][h]
@@ -343,12 +365,13 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, mcam, gy):
             glog = att * (gatt - (gatt * att).sum(axis=1, keepdims=True)) * scale
             gqc = glog @ kc
             gkc = glog.T @ qc
-            # scaling-matrix path: s = repeat(|pooled kc^T|), pooled = patch mean of qc
+            # scaling-matrix path: the term is levels * |pooled kc^T| * r per
+            # patch, pooled = patch mean of qc, and levels is constant on a patch
             pooled = _patch_sum(qc, spec, cfg.d) / cells
             sim = pooled @ kc.T
-            gsim = np.sign(sim) * _patch_sum(glog * mcam.levels * cfg.r, spec, cfg.d)
+            gsim = np.sign(sim) * levels * cfg.r * _patch_sum(glog, spec, cfg.d)
             gkc += gsim.T @ pooled
-            gqc += _patch_repeat((gsim @ kc) / cells, spec, cfg.d)
+            gqc += ((gsim @ kc) / cells)[row_patch]
 
             g["cq"][h] += u2.T @ gqc
             g["ck"][h] += text.T @ gkc
@@ -398,15 +421,15 @@ def loss_and_gradients(
     ``loss_rows``, when given, restricts the mean-squared error to those
     output rows; the default is the full :func:`fm_loss`.
     """
-    w, x, text, rot = _prepare(weights, z_tokens, text, spec, np.float64)
+    w, x, text, rot, patches = _prepare(weights, z_tokens, text, spec, cfg, build_mcam(spec), np.float64)
     target = np.asarray(target, dtype=np.float64)
-    blocks, mcam = build_csam(spec).blocks, build_mcam(spec)
+    blocks = build_csam(spec).blocks
     tape: dict = {}
-    y = _forward(w, x, text, spec, cfg, rot, blocks, mcam, tape)
+    y = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
     loss, rows, diff = _row_loss(y, target, loss_rows)
     gy = np.zeros_like(y)
     gy[rows] = 2.0 * diff / diff.size
-    grads, gx, gtext = _backward(w, tape, spec, cfg, rot, blocks, mcam, gy)
+    grads, gx, gtext = _backward(w, tape, spec, cfg, rot, blocks, patches, gy)
     return loss, grads, gx, gtext
 
 
@@ -454,12 +477,14 @@ def grad_check(
     """
     if not 1e-5 <= epsilon <= 1e-2:
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
-    w, x, text, rot = _prepare(weights.astype(np.float64), z_tokens, text, spec, np.float64)
+    w, x, text, rot, patches = _prepare(
+        weights.astype(np.float64), z_tokens, text, spec, cfg, build_mcam(spec), np.float64
+    )
     target = np.asarray(target, dtype=np.float64)
-    blocks, mcam = build_csam(spec).blocks, build_mcam(spec)
+    blocks = build_csam(spec).blocks
 
     def taped_loss() -> float:
-        y = _forward(w, x, text, spec, cfg, rot, blocks, mcam)
+        y = _forward(w, x, text, spec, cfg, rot, blocks, patches)
         return _row_loss(y, target, loss_rows)[0]
 
     loss, grads, gx, gtext = loss_and_gradients(w, x, text, spec, cfg, target, loss_rows)

@@ -62,11 +62,31 @@ class CsamMask:
         return f"CsamMask(n={self.n}, blocks={self.blocks!r})"
 
 
-@dataclass(frozen=True)
 class McamMask:
-    """Signed-byte level matrix, (visual tokens) x (caption tokens)."""
+    """Signed-byte level matrix, (visual tokens) x (caption tokens).
 
-    levels: np.ndarray
+    :func:`build_mcam` keeps one level row per entity (``entity_levels``):
+    video rows are all zero and an entity's tokens share its row, so
+    ``levels`` is materialized on first access.  ``McamMask(levels=...)`` is
+    the dense form, with no entity rows."""
+
+    __slots__ = ("entity_levels", "_n_video", "_hw", "_levels")
+
+    def __init__(self, levels: np.ndarray):
+        self.entity_levels, self._levels = None, levels
+
+    @classmethod
+    def _of_entities(cls, entity_levels: np.ndarray, n_video: int, hw: int) -> "McamMask":
+        mask = cls(None)
+        mask.entity_levels, mask._n_video, mask._hw = entity_levels, n_video, hw
+        return mask
+
+    @property
+    def levels(self) -> np.ndarray:
+        if self._levels is None:
+            rows = np.repeat(self.entity_levels, self._hw, axis=0)
+            self._levels = np.pad(rows, ((self._n_video, 0), (0, 0)))
+        return self._levels
 
 
 def build_csam(spec: LayoutSpec) -> CsamMask:
@@ -137,16 +157,13 @@ def materialize_blocks(blocks: tuple[Block, ...] | list[Block], n: int) -> np.nd
 
 
 def build_mcam(spec: LayoutSpec) -> McamMask:
-    """Level matrix over (visual token, caption token) pairs.
+    """Level matrix over (visual token, caption token) pairs, kept as one row per entity.
 
     Matches the pairwise level rule exactly: +1 inside the own entity span or
     the own subject group's spans, -1 against other subject groups' spans,
     0 everywhere else (video rows are all zero).
     """
-    levels = np.zeros((spec.n_tokens, spec.text_len), dtype=np.int8)
-    if spec.text_len == 0:
-        return McamMask(levels=levels)
-
+    rows = np.zeros((spec.n_entities, spec.text_len), dtype=np.int8)
     group_span = np.zeros((spec.n_groups, spec.text_len), dtype=bool)
     for g, members in enumerate(spec.groups):
         for m in members:
@@ -157,16 +174,13 @@ def build_mcam(spec: LayoutSpec) -> McamMask:
 
     group_of = {m: g for g, members in enumerate(spec.groups) for m in members}
     for e, ent in enumerate(spec.entities):
-        row = np.zeros(spec.text_len, dtype=np.int8)
         if ent.kind in SUBJECT_KINDS:
             own = group_span[group_of[e]]
-            row[any_group & ~own] = -1
-            row[own] = 1
+            rows[e, any_group & ~own] = -1
+            rows[e, own] = 1
         elif ent.span is not None:
-            row[ent.span[0] : ent.span[1]] = 1
-        start, end = spec.entity_range(e)
-        levels[start:end] = row
-    return McamMask(levels=levels)
+            rows[e, ent.span[0] : ent.span[1]] = 1
+    return McamMask._of_entities(rows, spec.n_video_tokens, spec.hw)
 
 
 def _write_int_grid_csv(path: str | Path, grid: np.ndarray) -> None:

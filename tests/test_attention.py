@@ -313,6 +313,13 @@ def test_attn_config_defaults_and_validation():
         AttnConfig(r=-0.1)
     with pytest.raises(ValueError):
         AttnConfig(d=0)
+    for r in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            AttnConfig(r=r)
+    for d in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            AttnConfig(d=d)
+    assert AttnConfig(r=np.float32(0.25), d=np.int64(4)).d == 4
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 5))

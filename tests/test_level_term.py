@@ -1,0 +1,144 @@
+"""The cross-attention level term read per patch and per entity: the block
+against the public dense kernel, the memory it saves, the masks it accepts,
+and the effect of r on the attention mass the paper's claim rests on."""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from relattn import block
+from relattn.attention import AttnConfig, compute_scaling_s, relational_cross_attention
+from relattn.block import block_forward, init_weights, loss_and_gradients
+from relattn.corpus import corpus_layout, make_spec
+from relattn.masks import McamMask, build_csam, build_mcam
+
+from strategies import layout_specs
+
+MIB = 1024.0 * 1024.0
+
+
+def _problem(spec, seed, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    weights = init_weights(rng, 6, 5, n_heads=2, head_dim=6, dtype=dtype)
+    x = rng.standard_normal((spec.n_tokens, 6)).astype(dtype)
+    text = rng.standard_normal((spec.text_len, 5)).astype(dtype)
+    return weights, x, text
+
+
+def _cross_calls(fn, *args):
+    """Run ``fn`` and record (qc, kc, vc, output) of every cross-attention
+    kernel call the block makes."""
+    calls = []
+    attend = block._attend
+
+    def recording(Q, K, V, scale, return_weights, level_term):
+        out = attend(Q, K, V, scale, return_weights, level_term)
+        calls.append((Q, K, V, out[0] if return_weights else out))
+        return out
+
+    with mock.patch.object(block, "_attend", recording):
+        fn(*args)
+    return calls
+
+
+@given(layout_specs(), st.sampled_from([1, 2, 3, 8]), st.sampled_from([0.0, 0.5]))
+def test_block_cross_attention_equals_the_dense_kernel(spec, d, r):
+    if spec.text_len == 0:
+        return
+    cfg = AttnConfig(r=r, d=d)
+    mcam = build_mcam(spec)
+    for dtype in (np.float32, np.float64):
+        weights, x, text = _problem(spec, 0, dtype)
+        if dtype == np.float32:
+            calls = _cross_calls(block_forward, weights, x, text, spec, cfg)
+        else:  # the taped path of training
+            target = np.zeros_like(x)
+            calls = _cross_calls(loss_and_gradients, weights, x, text, spec, cfg, target)
+        assert len(calls) == weights.n_heads
+        for qc, kc, vc, out in calls:
+            s = compute_scaling_s(qc, kc, spec, d)
+            want = relational_cross_attention(qc, kc, vc, mcam, s, cfg)
+            assert out.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(out, want)
+
+
+def test_long_caption_forward_holds_no_n_by_caption_array():
+    spec = make_spec(1, 12, 12, bg=1, objs=2, groups=(1, 1, 1, 1), text_len=2048)
+    weights, x, text = _problem(spec, 1)
+    csam, mcam = build_csam(spec), build_mcam(spec)
+    dense_mib = spec.n_tokens * spec.text_len * 4 / MIB  # one n x L float32 array: 13.5 MiB
+    tracemalloc.start()
+    try:
+        block_forward(weights, x, text, spec, AttnConfig(), csam, mcam)
+        peak = tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_mib
+
+
+def test_build_mcam_keeps_entity_rows_only():
+    spec = corpus_layout("showcase")
+    mcam = build_mcam(spec)
+    assert mcam._levels is None
+    assert mcam.entity_levels.shape == (spec.n_entities, spec.text_len)
+    weights, x, text = _problem(spec, 2)
+    block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
+    assert mcam._levels is None
+    levels = mcam.levels
+    assert levels is mcam.levels and levels.shape == (spec.n_tokens, spec.text_len)
+    dense = McamMask(levels=levels)
+    assert dense.levels is levels and dense.entity_levels is None
+
+
+@pytest.mark.parametrize(
+    "mcam, match",
+    [
+        (McamMask(levels=build_mcam(corpus_layout("showcase")).levels), "no entity level rows"),
+        (build_mcam(make_spec(2, 4, 4, objs=1, groups=(1, 1, 1), no_spans=True, text_len=19)), "7 entities"),
+        (build_mcam(make_spec(2, 4, 4, bg=1, objs=1, groups=(1, 1), no_spans=True, text_len=18)), "18 caption tokens"),
+    ],
+    ids=["dense-mask", "entity-count", "caption-length"],
+)
+def test_block_rejects_a_mask_of_another_layout(mcam, match):
+    spec = corpus_layout("showcase")
+    assert (spec.n_entities, spec.text_len) == (6, 19)
+    weights, x, text = _problem(spec, 3)
+    with mock.patch.object(block, "_rotary_table") as rotary:
+        with pytest.raises(ValueError, match=match):
+            block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
+    rotary.assert_not_called()  # rejected before any compute
+
+
+@given(layout_specs(), st.sampled_from([1, 2, 8]), st.integers(0, 2**32 - 1))
+def test_level_mass_moves_monotonically_in_r(spec, d, seed):
+    """For fixed Q, K and s >= 0 each row's weight mass on +1 caption tokens
+    is non-decreasing in r and its mass on -1 tokens non-increasing."""
+    if spec.text_len == 0:
+        return
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((spec.n_tokens, 4))
+    K = rng.standard_normal((spec.text_len, 4))
+    V = rng.standard_normal((spec.text_len, 2))
+    mcam = build_mcam(spec)
+    s = compute_scaling_s(Q, K, spec, d)
+    up, down = mcam.levels == 1, mcam.levels == -1
+    masses = []
+    for r in (0.0, 0.25, 0.5, 1.0):
+        _, w = relational_cross_attention(Q, K, V, mcam, s, AttnConfig(r=r, d=d), return_weights=True)
+        masses.append(((w * up).sum(axis=1), (w * down).sum(axis=1)))
+    for (up0, down0), (up1, down1) in zip(masses, masses[1:]):
+        assert (up1 >= up0 - 1e-12).all()
+        assert (down1 <= down0 + 1e-12).all()
+
+
+def test_block_rejects_non_finite_text():
+    spec = corpus_layout("showcase")
+    weights, x, text = _problem(spec, 4, np.float64)
+    text[3, 1] = np.nan
+    with pytest.raises(ValueError, match="text contains non-finite"):
+        block_forward(weights, x, text, spec, AttnConfig())
+    with pytest.raises(ValueError, match="text contains non-finite"):
+        loss_and_gradients(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
