@@ -81,12 +81,12 @@ from .masks import (  # noqa: E402
     materialize_blocks,
 )
 from .rotary import (  # noqa: E402
-    Position3,
     RotaryConfig,
-    apply_rotary,
-    assign_positions,
     default_config,
     default_split,
+    position_array,
+    rotary_table,
+    rotate,
 )
 
 __all__ = [
@@ -102,12 +102,9 @@ __all__ = [
     "LayoutSpec",
     "LayoutSyntaxError",
     "McamMask",
-    "Position3",
     "RotaryConfig",
     "TokenAddress",
     "address_of",
-    "apply_rotary",
-    "assign_positions",
     "block_forward",
     "branch_of",
     "build_csam",
@@ -128,7 +125,10 @@ __all__ = [
     "materialize_blocks",
     "parse_spec",
     "plain_block_forward",
+    "position_array",
     "relational_cross_attention",
+    "rotary_table",
+    "rotate",
     "standard_attention",
     "text_level_of",
     "to_json",

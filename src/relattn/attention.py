@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .layout import LayoutSpec
-from .masks import Block, CsamMask, McamMask
+from .masks import Block, CsamMask
 
 # query rows per tile: the streaming kernels hold one tile x keys logits
 # buffer at a time instead of a full query x key matrix
@@ -282,17 +282,17 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
 
 
 def relational_cross_attention(
-    Q, K, V, mcam: McamMask, s, cfg: AttnConfig, return_weights: bool = False
+    Q, K, V, levels, s, cfg: AttnConfig, return_weights: bool = False
 ):
-    """Cross-attention with the level mask injected additively as M*s*r.
+    """Cross-attention with the n x L level matrix ``levels`` (for instance
+    ``build_mcam(spec).levels``) injected additively as levels*s*r.
 
     The full sum (logits plus the mask term) is scaled by 1/sqrt(d_K); with
     r=0 the additive term vanishes and the kernel is bit-identical to
     :func:`standard_attention`.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
-    s = _as_matrix("s", s)
-    levels = mcam.levels
+    s, levels = _as_matrix("s", s), _as_matrix("levels", levels)
     if Q.shape[0] != levels.shape[0] or s.shape[0] != levels.shape[0]:
         raise ValueError(
             f"Q/s must have {levels.shape[0]} rows, got {Q.shape[0]}/{s.shape[0]}"

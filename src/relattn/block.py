@@ -27,7 +27,7 @@ from .attention import (
 )
 from .layout import LayoutSpec
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
-from .rotary import _position_array, _rotary_table, _rotate, default_config
+from .rotary import default_config, position_array, rotary_table, rotate
 
 _LN_EPS = 1e-6
 
@@ -205,8 +205,6 @@ def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
     the patch geometry of the level term, which every head shares: each
     patch's cell count, each token's patch and each patch's level row."""
     rows = mcam.entity_levels
-    if rows is None:
-        raise ValueError("mcam has no entity level rows: pass the result of build_mcam(spec)")
     if rows.shape != (spec.n_entities, spec.text_len):
         raise ValueError(
             f"mcam levels are {rows.shape[0]} entities x {rows.shape[1]} caption tokens, "
@@ -225,7 +223,7 @@ def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
     if not np.isfinite(text).all():
         raise ValueError("text contains non-finite entries")
     w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
-    rot = _rotary_table(_position_array(spec), default_config(w.head_dim), x.dtype)
+    rot = rotary_table(position_array(spec), default_config(w.head_dim), x.dtype)
     cells, row_patch = _patch_geometry(spec, cfg.d, x.dtype)
     per_frame = len(cells) // (spec.T + spec.n_entities)
     levels = np.zeros((len(cells), spec.text_len), dtype=np.int8)  # all zero in the video frames
@@ -248,8 +246,8 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     sa = np.zeros_like(x)
     self_tape = []
     for h in range(w.n_heads):
-        q = _rotate(u @ w.wq[h], cos, sin)
-        k = _rotate(u @ w.wk[h], cos, sin)
+        q = rotate(u @ w.wq[h], cos, sin)
+        k = rotate(u @ w.wk[h], cos, sin)
         v = u @ w.wv[h]
         a, lse = _blockwise(q, k, v, blocks)
         if tape is not None:
@@ -390,7 +388,7 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
         q, k, v, a, lse = tape["self"][h]
         g["wo"][h] += a.T @ gx1
         gq, gk, gv = _blockwise_bwd(q, k, v, a, lse, gx1 @ w.wo[h].T, blocks, scale)
-        gq, gk = _rotate(gq, cos, -sin), _rotate(gk, cos, -sin)
+        gq, gk = rotate(gq, cos, -sin), rotate(gk, cos, -sin)
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk
         g["wv"][h] += u.T @ gv

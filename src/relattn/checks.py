@@ -67,7 +67,7 @@ def check_layout(name: str, spec: LayoutSpec, seed: int = 0) -> list[CheckResult
         ok &= bool(np.array_equal(pairwise, mcam.levels))
     out.append(CheckResult(f"text-levels[{name}]", ok))
 
-    positions = rotary._position_array(spec)
+    positions = rotary.position_array(spec)
     out.append(
         CheckResult(
             f"positions-unique[{name}]",
@@ -163,7 +163,7 @@ def _kernel_checks(name, spec, csam, mcam, seed) -> list[CheckResult]:
         cfg = AttnConfig()
         s = attention.compute_scaling_s(Q, Kt, spec, cfg.d)
 
-        rel0 = attention.relational_cross_attention(Q, Kt, Vt, mcam, s, AttnConfig(r=0.0, d=cfg.d))
+        rel0 = attention.relational_cross_attention(Q, Kt, Vt, mcam.levels, s, AttnConfig(r=0.0, d=cfg.d))
         std = attention.standard_attention(Q, Kt, Vt)
         identical = bool(np.array_equal(rel0, std))
         out.append(
@@ -200,13 +200,11 @@ def _kernel_checks(name, spec, csam, mcam, seed) -> list[CheckResult]:
         # bump one neutral-level coordinate to +1: its weight must strictly
         # rise (needs >= 2 text tokens, else the single weight is pinned at 1)
         if L >= 2:
-            _, w0 = attention.relational_cross_attention(Q, Kt, Vt, mcam, s, cfg, return_weights=True)
+            _, w0 = attention.relational_cross_attention(Q, Kt, Vt, mcam.levels, s, cfg, return_weights=True)
             q_idx, t_idx = 0, int(np.argmax(s[0]))
             bumped = mcam.levels.copy()
             bumped[q_idx, t_idx] = 1
-            _, w1 = attention.relational_cross_attention(
-                Q, Kt, Vt, masks.McamMask(levels=bumped), s, cfg, return_weights=True
-            )
+            _, w1 = attention.relational_cross_attention(Q, Kt, Vt, bumped, s, cfg, return_weights=True)
             rose = bool(w1[q_idx, t_idx] > w0[q_idx, t_idx] and s[q_idx, t_idx] > 0)
             out.append(
                 CheckResult(
@@ -225,7 +223,7 @@ def check_global(seed: int = 0) -> list[CheckResult]:
 
     pos = rng.integers(0, 9, (32, 3))
     x = rng.standard_normal((32, 16)).astype(np.float32)
-    rx = rotary._rotate(x, *rotary._rotary_table(pos, cfg, x.dtype))
+    rx = rotary.rotate(x, *rotary.rotary_table(pos, cfg, x.dtype))
     norms = np.linalg.norm(x, axis=1)
     out.append(
         _result(
@@ -239,8 +237,8 @@ def check_global(seed: int = 0) -> list[CheckResult]:
     q = np.repeat(rng.standard_normal((1, 16)), 27, axis=0)
     k = np.repeat(rng.standard_normal((1, 16)), 27, axis=0)
     shifts = np.indices((3, 3, 3)).reshape(3, -1).T
-    qa = rotary._rotate(q, *rotary._rotary_table(shifts + (1, 2, 3), cfg, q.dtype))
-    kb = rotary._rotate(k, *rotary._rotary_table(shifts + (4, 1, 5), cfg, k.dtype))
+    qa = rotary.rotate(q, *rotary.rotary_table(shifts + (1, 2, 3), cfg, q.dtype))
+    kb = rotary.rotate(k, *rotary.rotary_table(shifts + (4, 1, 5), cfg, k.dtype))
     dots = (qa * kb).sum(axis=1)
     spread = (dots.max() - dots.min()) / max(abs(dots[0]), 1e-9)
     out.append(_result("rotary-shift-invariance", spread, 1e-5))

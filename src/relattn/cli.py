@@ -1,9 +1,11 @@
 """relctl: build and export masks and positions, run the invariant battery,
 micro-benchmark the kernels, and run one seeded block forward.
 
-Exit code is 0 iff every check passed.  Timing goes to stderr for ``masks``
-and ``forward`` so their stdout and file outputs stay byte-stable; ``check``
-and ``bench`` print timings as part of their results.
+Exit code is 0 iff every check passed, 1 if a check failed, and 2 if the
+arguments or the layout file are refused, with one ``relctl`` line on
+stderr.  Timing goes to stderr for ``masks`` and ``forward`` so their stdout
+and file outputs stay byte-stable; ``check`` and ``bench`` print timings as
+part of their results.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .checks import CheckResult, run_checks
 from .corpus import builtin_corpus
 from .layout import LayoutError, LayoutSpec, parse_spec
 from .masks import build_csam, build_mcam, write_csam_csv, write_csam_pgm, write_mcam_csv, write_mcam_pgm
-from .rotary import _position_array
+from .rotary import position_array
 
 FORWARD_CHANNELS = 16
 FORWARD_TEXT_CHANNELS = 12
@@ -66,13 +68,22 @@ class RunReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _refuse(message: str) -> SystemExit:
+    """Print ``message`` as one line on stderr and return the exit, with
+    code 2, that refuses the input; the exit's text is the message."""
+    print(message, file=sys.stderr)
+    refusal = SystemExit(message)
+    refusal.code = 2
+    return refusal
+
+
 def _load_spec(path: str) -> LayoutSpec:
     try:
         return parse_spec(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SystemExit(f"relctl: cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _refuse(f"relctl: cannot read {path}: {exc}")
     except LayoutError as exc:
-        raise SystemExit(f"relctl: invalid layout {path}: {exc}")
+        raise _refuse(f"relctl: invalid layout {path}: {exc}")
 
 
 def cmd_masks(args) -> RunReport:
@@ -84,7 +95,7 @@ def cmd_masks(args) -> RunReport:
 
     csam = build_csam(spec)
     mcam = build_mcam(spec)
-    positions = _position_array(spec)
+    positions = position_array(spec)
 
     write_csam_csv(out_dir / "csam.csv", csam)
     write_csam_pgm(out_dir / "csam.pgm", csam)
@@ -278,10 +289,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _argument_error(args) -> str | None:
+    """Why the parsed arguments cannot run, or None."""
+    if args.command == "check" and bool(args.spec) == bool(args.corpus):
+        return "pass exactly one of <spec.json> or --corpus"
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    if args.command == "bench" and args.head_dim < 1:
+        return f"--head-dim must be >= 1, got {args.head_dim}"
+    if args.command == "bench" and args.reps < 0:
+        return f"--reps must be >= 0, got {args.reps}"
+    if args.command == "forward":
+        try:
+            AttnConfig(r=args.r, d=args.d)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check" and bool(args.spec) == bool(args.corpus):
-        print("relctl check: pass exactly one of <spec.json> or --corpus", file=sys.stderr)
+    error = _argument_error(args)
+    if error:
+        print(f"relctl {args.command}: {error}", file=sys.stderr)
         return 2
     report: RunReport = args.fn(args)
     if args.json_path:

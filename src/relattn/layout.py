@@ -127,17 +127,10 @@ class LayoutSpec:
         Background/object entities are their own branch; a whole subject
         group (face plus attributes) is one branch.
         """
-        labels = []
-        group_of = {}
-        for g, members in enumerate(self.groups):
-            for m in members:
-                group_of[m] = g
-        for idx, ent in enumerate(self.entities):
-            if ent.kind in SUBJECT_KINDS:
-                labels.append(f"group{group_of[idx]}")
-            else:
-                labels.append(f"entity{idx}")
-        return tuple(labels)
+        return tuple(
+            f"group{ent.group}" if ent.kind in SUBJECT_KINDS else f"entity{idx}"
+            for idx, ent in enumerate(self.entities)
+        )
 
     @property
     def n_branches(self) -> int:
@@ -225,6 +218,8 @@ def parse_spec(text: str) -> LayoutSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LayoutSyntaxError(f"not valid JSON: {exc.msg}", f"$ (line {exc.lineno})") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer too long
+        raise LayoutSyntaxError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise LayoutSchemaError("document root must be an object", "$")

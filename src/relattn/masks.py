@@ -63,23 +63,19 @@ class CsamMask:
 
 
 class McamMask:
-    """Signed-byte level matrix, (visual tokens) x (caption tokens).
+    """Signed-byte level matrix, (visual tokens) x (caption tokens), as one
+    level row per entity (``entity_levels``, entities x caption tokens).
 
-    :func:`build_mcam` keeps one level row per entity (``entity_levels``):
-    video rows are all zero and an entity's tokens share its row, so
-    ``levels`` is materialized on first access.  ``McamMask(levels=...)`` is
-    the dense form, with no entity rows."""
+    Video rows are all zero and an entity's ``hw`` tokens share its row, so
+    ``levels``, the dense matrix, is materialized on first access; the block
+    never needs it.
+    """
 
     __slots__ = ("entity_levels", "_n_video", "_hw", "_levels")
 
-    def __init__(self, levels: np.ndarray):
-        self.entity_levels, self._levels = None, levels
-
-    @classmethod
-    def _of_entities(cls, entity_levels: np.ndarray, n_video: int, hw: int) -> "McamMask":
-        mask = cls(None)
-        mask.entity_levels, mask._n_video, mask._hw = entity_levels, n_video, hw
-        return mask
+    def __init__(self, entity_levels: np.ndarray, n_video: int, hw: int):
+        self.entity_levels, self._n_video, self._hw = entity_levels, n_video, hw
+        self._levels = None
 
     @property
     def levels(self) -> np.ndarray:
@@ -172,15 +168,14 @@ def build_mcam(spec: LayoutSpec) -> McamMask:
                 group_span[g, span[0] : span[1]] = True
     any_group = group_span.any(axis=0)
 
-    group_of = {m: g for g, members in enumerate(spec.groups) for m in members}
     for e, ent in enumerate(spec.entities):
         if ent.kind in SUBJECT_KINDS:
-            own = group_span[group_of[e]]
+            own = group_span[ent.group]
             rows[e, any_group & ~own] = -1
             rows[e, own] = 1
         elif ent.span is not None:
             rows[e, ent.span[0] : ent.span[1]] = 1
-    return McamMask._of_entities(rows, spec.n_video_tokens, spec.hw)
+    return McamMask(rows, spec.n_video_tokens, spec.hw)
 
 
 def _write_int_grid_csv(path: str | Path, grid: np.ndarray) -> None:

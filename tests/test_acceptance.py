@@ -21,8 +21,8 @@ from relattn.block import FlowSample, demo_fit, flow_interpolate, fm_loss, grad_
 from relattn.cli import main
 from relattn.corpus import builtin_corpus, corpus_layout, make_spec
 from relattn.layout import to_json
-from relattn.masks import McamMask, build_csam, build_mcam
-from relattn.rotary import Position3, apply_rotary, assign_positions, default_config
+from relattn.masks import build_csam, build_mcam
+from relattn.rotary import default_config, position_array, rotary_table, rotate
 
 from oracles import csam_oracle, fm_loss_oracle, mcam_oracle, positions_oracle
 
@@ -45,7 +45,7 @@ def test_01_mask_oracle_equivalence():
 
 def test_02_position_rule_exhaustive():
     for name, spec in CORPUS:
-        got = [(p.i, p.j, p.k) for p in assign_positions(spec)]
+        got = [tuple(p) for p in position_array(spec).tolist()]
         assert got == positions_oracle(spec), name
         assert len(set(got)) == spec.n_tokens, name
     _report(2, "position-rule-exhaustive")
@@ -142,11 +142,11 @@ def test_06_level_mask_behavior():
     Vt = rng.standard_normal((L, 8)).astype(np.float32)
     s = compute_scaling_s(Q, Kt, spec, 8)
 
-    out0 = relational_cross_attention(Q, Kt, Vt, mcam, s, AttnConfig(r=0.0))
+    out0 = relational_cross_attention(Q, Kt, Vt, mcam.levels, s, AttnConfig(r=0.0))
     np.testing.assert_array_equal(out0, standard_attention(Q, Kt, Vt))
 
     cfg = AttnConfig(r=0.5)
-    _, w_base = relational_cross_attention(Q, Kt, Vt, mcam, s, cfg, return_weights=True)
+    _, w_base = relational_cross_attention(Q, Kt, Vt, mcam.levels, s, cfg, return_weights=True)
     trials = 0
     while trials < 100:
         qi = int(rng.integers(0, n))
@@ -156,9 +156,7 @@ def test_06_level_mask_behavior():
             continue
         bumped = mcam.levels.copy()
         bumped[qi, ti] = lv + 1
-        _, w_new = relational_cross_attention(
-            Q, Kt, Vt, McamMask(levels=bumped), s, cfg, return_weights=True
-        )
+        _, w_new = relational_cross_attention(Q, Kt, Vt, bumped, s, cfg, return_weights=True)
         assert w_new[qi, ti] > w_base[qi, ti], (qi, ti, lv)
         trials += 1
     _report(6, "level-mask-behavior")
@@ -169,8 +167,7 @@ def test_07_rotary_properties():
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
         x = rng.standard_normal((24, 16))
-        pos = [Position3(int(i), int(j), int(k)) for i, j, k in rng.integers(0, 40, (24, 3))]
-        out = apply_rotary(x, pos, cfg)
+        out = rotate(x, *rotary_table(rng.integers(0, 40, (24, 3)), cfg, x.dtype))
         norms = np.linalg.norm(x, axis=1)
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - norms) / norms) <= 1e-6
 
@@ -182,9 +179,11 @@ def test_07_rotary_properties():
         for di in range(3):
             for dj in range(3):
                 for dk in range(3):
-                    a = Position3(base[0] + di, base[1] + dj, base[2] + dk)
-                    b = Position3(other[0] + di, other[1] + dj, other[2] + dk)
-                    dot = (apply_rotary(q, [a], cfg) @ apply_rotary(k, [b], cfg).T).item()
+                    a = np.array([[base[0] + di, base[1] + dj, base[2] + dk]])
+                    b = np.array([[other[0] + di, other[1] + dj, other[2] + dk]])
+                    qa = rotate(q, *rotary_table(a, cfg, q.dtype))
+                    kb = rotate(k, *rotary_table(b, cfg, k.dtype))
+                    dot = (qa @ kb.T).item()
                     if ref is None:
                         ref = dot
                     else:

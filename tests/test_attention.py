@@ -11,7 +11,7 @@ from relattn.attention import (
     standard_attention,
 )
 from relattn.corpus import make_spec
-from relattn.masks import Block, CsamMask, McamMask, build_csam, build_mcam, decompose_blocks
+from relattn.masks import Block, CsamMask, build_csam, build_mcam, decompose_blocks
 
 from oracles import attention_oracle, scaling_oracle
 
@@ -249,13 +249,13 @@ def cross_setup():
 
 def test_r_zero_bit_identical(cross_setup):
     spec, mcam, Q, Kt, Vt, s = cross_setup
-    out = relational_cross_attention(Q, Kt, Vt, mcam, s, AttnConfig(r=0.0))
+    out = relational_cross_attention(Q, Kt, Vt, mcam.levels, s, AttnConfig(r=0.0))
     np.testing.assert_array_equal(out, standard_attention(Q, Kt, Vt))
 
 
 def test_zero_mask_identical(cross_setup):
     spec, mcam, Q, Kt, Vt, s = cross_setup
-    zero = McamMask(levels=np.zeros_like(mcam.levels))
+    zero = np.zeros_like(mcam.levels)
     out = relational_cross_attention(Q, Kt, Vt, zero, s, AttnConfig(r=0.5))
     np.testing.assert_array_equal(out, standard_attention(Q, Kt, Vt))
 
@@ -269,7 +269,7 @@ def test_relational_matches_oracle():
     Vt = rng.standard_normal((3, 4)).astype(np.float32)
     s = np.abs(rng.standard_normal((4, 3))).astype(np.float32)
     cfg = AttnConfig(r=0.5)
-    out = relational_cross_attention(Q, Kt, Vt, McamMask(levels=levels), s, cfg)
+    out = relational_cross_attention(Q, Kt, Vt, levels, s, cfg)
     ref = attention_oracle(Q, Kt, Vt, additive=levels.astype(np.float64) * s * 0.5)
     assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-5
 
@@ -286,10 +286,8 @@ def test_level_raise_strictly_increases_weight(cross_setup):
             continue
         bumped = mcam.levels.copy()
         bumped[qi, ti] = lv + 1
-        _, w0 = relational_cross_attention(Q, Kt, Vt, mcam, s, cfg, return_weights=True)
-        _, w1 = relational_cross_attention(
-            Q, Kt, Vt, McamMask(levels=bumped), s, cfg, return_weights=True
-        )
+        _, w0 = relational_cross_attention(Q, Kt, Vt, mcam.levels, s, cfg, return_weights=True)
+        _, w1 = relational_cross_attention(Q, Kt, Vt, bumped, s, cfg, return_weights=True)
         assert w1[qi, ti] > w0[qi, ti]
 
 
@@ -297,13 +295,13 @@ def test_relational_validates(cross_setup):
     spec, mcam, Q, Kt, Vt, s = cross_setup
     cfg = AttnConfig()
     with pytest.raises(ValueError):
-        relational_cross_attention(Q[:-1], Kt, Vt, mcam, s, cfg)
+        relational_cross_attention(Q[:-1], Kt, Vt, mcam.levels, s, cfg)
     with pytest.raises(ValueError):
-        relational_cross_attention(Q, Kt[:-1], Vt[:-1], mcam, s[:, :-1], cfg)
+        relational_cross_attention(Q, Kt[:-1], Vt[:-1], mcam.levels, s[:, :-1], cfg)
     bad_s = s.copy()
     bad_s[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        relational_cross_attention(Q, Kt, Vt, mcam, bad_s, cfg)
+        relational_cross_attention(Q, Kt, Vt, mcam.levels, bad_s, cfg)
 
 
 def test_attn_config_defaults_and_validation():
@@ -340,7 +338,7 @@ def test_softmax_shift_invariance(seed):
     V = rng.standard_normal((3, 3)).astype(np.float32)
     _, w = standard_attention(Q, K, V, return_weights=True)
     # adding a per-row constant via the additive path leaves weights unchanged
-    ones = McamMask(levels=np.ones((2, 3), dtype=np.int8))
+    ones = np.ones((2, 3), dtype=np.int8)
     s_const = np.full((2, 3), 3.7, dtype=np.float32)
     _, w2 = relational_cross_attention(
         Q, K, V, ones, s_const, AttnConfig(r=1.0), return_weights=True
@@ -361,7 +359,7 @@ FINITE_KERNELS = {
     "relational_cross_attention": (
         {"Q": _N, "K": _L, "V": _L, "s": _N},
         lambda a: relational_cross_attention(
-            a["Q"], a["K"], a["V"], build_mcam(FINITE_SPEC), a["s"], AttnConfig()
+            a["Q"], a["K"], a["V"], build_mcam(FINITE_SPEC).levels, a["s"], AttnConfig()
         ),
     ),
     "masked_self_attention_blockwise": (

@@ -101,6 +101,40 @@ def test_check_requires_exactly_one_source(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["forward", "--r", "nan"], "r must be finite"),
+        (["forward", "--r", "-1"], "r must be finite"),
+        (["forward", "--d", "0"], "d must be an integer >= 1"),
+        (["forward", "--seed", "-1"], "--seed must be >= 0"),
+        (["bench", "--head-dim", "0"], "--head-dim must be >= 1"),
+        (["bench", "--reps", "-3"], "--reps must be >= 0"),
+    ],
+)
+def test_bad_arguments_are_refused_in_one_line(showcase_file, capsys, argv, why):
+    assert main([argv[0], str(showcase_file), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"relctl {argv[0]}: ") and why in err
+
+
+def test_a_file_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"T": 1, "H": 2, "W": 2, "text_len": 0, "entities": [], "note": "\xe9"}')
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(bad)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"{exc.value}\n"
+    assert str(exc.value).startswith(f"relctl: cannot read {bad}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "relattn", "check", str(bad)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"{exc.value}\n"
+
+
 def test_forward_deterministic(showcase_file, capsys):
     assert main(["forward", str(showcase_file), "--seed", "7"]) == 0
     first = capsys.readouterr().out

@@ -68,6 +68,10 @@ def test_three_attributes_accepted():
 def test_syntax_error():
     with pytest.raises(LayoutSyntaxError):
         parse_spec("{not json")
+    with pytest.raises(LayoutSyntaxError):  # deeper than the decoder's recursion limit
+        parse_spec("[" * 100000 + "]" * 100000)
+    with pytest.raises(LayoutSyntaxError):  # longer than Python's integer parsing limit
+        parse_spec('{"T": 1' + "0" * 5000 + "}")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from relattn import block
 from relattn.attention import AttnConfig, compute_scaling_s, relational_cross_attention
 from relattn.block import block_forward, init_weights, loss_and_gradients
 from relattn.corpus import corpus_layout, make_spec
-from relattn.masks import McamMask, build_csam, build_mcam
+from relattn.masks import build_csam, build_mcam
 
 from strategies import layout_specs
 
@@ -60,7 +60,7 @@ def test_block_cross_attention_equals_the_dense_kernel(spec, d, r):
         assert len(calls) == weights.n_heads
         for qc, kc, vc, out in calls:
             s = compute_scaling_s(qc, kc, spec, d)
-            want = relational_cross_attention(qc, kc, vc, mcam, s, cfg)
+            want = relational_cross_attention(qc, kc, vc, mcam.levels, s, cfg)
             assert out.dtype == want.dtype == dtype
             np.testing.assert_array_equal(out, want)
 
@@ -89,24 +89,21 @@ def test_build_mcam_keeps_entity_rows_only():
     assert mcam._levels is None
     levels = mcam.levels
     assert levels is mcam.levels and levels.shape == (spec.n_tokens, spec.text_len)
-    dense = McamMask(levels=levels)
-    assert dense.levels is levels and dense.entity_levels is None
 
 
 @pytest.mark.parametrize(
     "mcam, match",
     [
-        (McamMask(levels=build_mcam(corpus_layout("showcase")).levels), "no entity level rows"),
         (build_mcam(make_spec(2, 4, 4, objs=1, groups=(1, 1, 1), no_spans=True, text_len=19)), "7 entities"),
         (build_mcam(make_spec(2, 4, 4, bg=1, objs=1, groups=(1, 1), no_spans=True, text_len=18)), "18 caption tokens"),
     ],
-    ids=["dense-mask", "entity-count", "caption-length"],
+    ids=["entity-count", "caption-length"],
 )
 def test_block_rejects_a_mask_of_another_layout(mcam, match):
     spec = corpus_layout("showcase")
     assert (spec.n_entities, spec.text_len) == (6, 19)
     weights, x, text = _problem(spec, 3)
-    with mock.patch.object(block, "_rotary_table") as rotary:
+    with mock.patch.object(block, "rotary_table") as rotary:
         with pytest.raises(ValueError, match=match):
             block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
     rotary.assert_not_called()  # rejected before any compute
@@ -127,7 +124,7 @@ def test_level_mass_moves_monotonically_in_r(spec, d, seed):
     up, down = mcam.levels == 1, mcam.levels == -1
     masses = []
     for r in (0.0, 0.25, 0.5, 1.0):
-        _, w = relational_cross_attention(Q, K, V, mcam, s, AttnConfig(r=r, d=d), return_weights=True)
+        _, w = relational_cross_attention(Q, K, V, mcam.levels, s, AttnConfig(r=r, d=d), return_weights=True)
         masses.append(((w * up).sum(axis=1), (w * down).sum(axis=1)))
     for (up0, down0), (up1, down1) in zip(masses, masses[1:]):
         assert (up1 >= up0 - 1e-12).all()

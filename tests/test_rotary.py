@@ -4,33 +4,37 @@ from hypothesis import given, strategies as st
 
 from relattn.corpus import builtin_corpus, make_spec
 from relattn.rotary import (
-    Position3,
     RotaryConfig,
-    apply_rotary,
-    assign_positions,
     default_config,
     default_split,
-    positions_as_array,
+    position_array,
+    rotary_table,
+    rotate,
 )
 
 from oracles import positions_oracle
 
 
+def rotated(x, pos, cfg):
+    """``x`` rotated by the (i, j, k) rows of ``pos``, in the dtype of ``x``."""
+    return rotate(x, *rotary_table(np.asarray(pos), cfg, x.dtype))
+
+
 def test_assign_positions_examples():
     spec = make_spec(2, 4, 4, bg=1, objs=1, groups=(1,))
-    pos = assign_positions(spec)
+    pos = position_array(spec).tolist()
     nv = spec.n_video_tokens
     hw = spec.hw
-    assert pos[nv] == Position3(2, 0, 0)  # background (row 0, col 0)
-    assert pos[nv + hw] == Position3(3, 0, 0)  # object
-    assert pos[nv + 2 * hw + 1 * 4 + 2] == Position3(4, 2, 1)  # face (row 1, col 2)
-    assert pos[nv + 3 * hw + 1 * 4 + 2] == Position3(4, 6, 5)  # its attribute
-    assert pos[1 * hw + 3 * 4 + 3] == Position3(1, 3, 3)  # video frame 1 row 3 col 3
+    assert pos[nv] == [2, 0, 0]  # background (row 0, col 0)
+    assert pos[nv + hw] == [3, 0, 0]  # object
+    assert pos[nv + 2 * hw + 1 * 4 + 2] == [4, 2, 1]  # face (row 1, col 2)
+    assert pos[nv + 3 * hw + 1 * 4 + 2] == [4, 6, 5]  # its attribute
+    assert pos[1 * hw + 3 * 4 + 3] == [1, 3, 3]  # video frame 1 row 3 col 3
 
 
 def test_positions_match_oracle_and_unique():
     for name, spec in builtin_corpus():
-        got = [(p.i, p.j, p.k) for p in assign_positions(spec)]
+        got = [tuple(p) for p in position_array(spec).tolist()]
         assert got == positions_oracle(spec), name
         assert len(set(got)) == spec.n_tokens, name
 
@@ -51,14 +55,12 @@ def test_config_validation():
         RotaryConfig(head_dim=8, split=(4, 2, 1))
     with pytest.raises(ValueError):
         RotaryConfig(head_dim=8, split=(4, 4, 2))
-    with pytest.raises(ValueError):
-        RotaryConfig(head_dim=8, split=(4, 2, 2), base=-1.0)
 
 
 def test_zero_position_is_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 8)).astype(np.float32)
-    out = apply_rotary(x, [Position3(0, 0, 0)] * 3, default_config(8))
+    out = rotated(x, [(0, 0, 0)] * 3, default_config(8))
     np.testing.assert_array_equal(out, x)
 
 
@@ -66,8 +68,8 @@ def test_norm_preserved():
     rng = np.random.default_rng(1)
     cfg = default_config(16)
     x = rng.standard_normal((20, 16)).astype(np.float32)
-    pos = [Position3(int(i), int(j), int(k)) for i, j, k in rng.integers(0, 30, (20, 3))]
-    out = apply_rotary(x, pos, cfg)
+    pos = rng.integers(0, 30, (20, 3))
+    out = rotated(x, pos, cfg)
     n0 = np.linalg.norm(x, axis=1)
     n1 = np.linalg.norm(out, axis=1)
     assert np.max(np.abs(n1 - n0) / n0) < 1e-6
@@ -77,8 +79,8 @@ def test_inverse_round_trip():
     rng = np.random.default_rng(2)
     cfg = default_config(8)
     x = rng.standard_normal((5, 8))
-    pos = [Position3(int(i), int(j), int(k)) for i, j, k in rng.integers(0, 9, (5, 3))]
-    back = apply_rotary(apply_rotary(x, pos, cfg), pos, cfg, inverse=True)
+    cos, sin = rotary_table(rng.integers(0, 9, (5, 3)), cfg, x.dtype)
+    back = rotate(rotate(x, cos, sin), cos, -sin)
     assert np.max(np.abs(back - x)) < 1e-12
 
 
@@ -90,14 +92,14 @@ def test_relative_shift_invariance():
         rng = np.random.default_rng(seed)
         q = rng.standard_normal((1, 16))
         k = rng.standard_normal((1, 16))
-        p1, p2 = Position3(2, 5, 1), Position3(7, 0, 4)
+        p1, p2 = (2, 5, 1), (7, 0, 4)
         ref = None
         for di in range(3):
             for dj in range(3):
                 for dk in range(3):
-                    a = Position3(p1.i + di, p1.j + dj, p1.k + dk)
-                    b = Position3(p2.i + di, p2.j + dj, p2.k + dk)
-                    dot = (apply_rotary(q, [a], cfg) @ apply_rotary(k, [b], cfg).T).item()
+                    a = (p1[0] + di, p1[1] + dj, p1[2] + dk)
+                    b = (p2[0] + di, p2[1] + dj, p2[2] + dk)
+                    dot = (rotated(q, [a], cfg) @ rotated(k, [b], cfg).T).item()
                     if ref is None:
                         ref = dot
                     else:
@@ -107,14 +109,15 @@ def test_relative_shift_invariance():
 def test_shape_validation():
     cfg = default_config(8)
     with pytest.raises(ValueError):
-        apply_rotary(np.zeros((2, 6)), [Position3(0, 0, 0)] * 2, cfg)
+        rotated(np.zeros((2, 6)), [(0, 0, 0)] * 2, cfg)
     with pytest.raises(ValueError):
-        apply_rotary(np.zeros((2, 8)), [Position3(0, 0, 0)], cfg)
+        rotated(np.zeros((2, 8)), [(0, 0, 0)], cfg)
 
 
 def test_positions_as_array():
-    arr = positions_as_array([Position3(1, 2, 3), Position3(4, 5, 6)])
-    np.testing.assert_array_equal(arr, [[1, 2, 3], [4, 5, 6]])
+    arr = position_array(make_spec(1, 1, 2, objs=1))
+    assert arr.dtype == np.int64
+    np.testing.assert_array_equal(arr, [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]])
 
 
 @given(
@@ -127,5 +130,5 @@ def test_isometry_property(dim_choice, coords, seed):
     cfg = default_config(head_dim)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, head_dim))
-    out = apply_rotary(x, [Position3(*coords)], cfg)
+    out = rotated(x, [coords], cfg)
     assert abs(np.linalg.norm(out) - np.linalg.norm(x)) < 1e-9 * max(1.0, np.linalg.norm(x))

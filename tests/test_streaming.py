@@ -113,7 +113,7 @@ def test_blockwise_matches_naive_across_tiles(bench):
 def test_r0_bit_identical_across_tiles(bench):
     spec, Q, _, _, Kt, Vt = bench
     s = compute_scaling_s(Q, Kt, spec, 8)
-    rel0 = relational_cross_attention(Q, Kt, Vt, build_mcam(spec), s, AttnConfig(r=0.0))
+    rel0 = relational_cross_attention(Q, Kt, Vt, build_mcam(spec).levels, s, AttnConfig(r=0.0))
     np.testing.assert_array_equal(rel0, standard_attention(Q, Kt, Vt))
 
 
@@ -121,7 +121,7 @@ def test_relational_matches_oracle_across_tiles(bench):
     spec, Q, _, _, Kt, Vt = bench
     s = compute_scaling_s(Q, Kt, spec, 8)
     mcam, cfg = build_mcam(spec), AttnConfig(r=0.5)
-    out = relational_cross_attention(Q, Kt, Vt, mcam, s, cfg)
+    out = relational_cross_attention(Q, Kt, Vt, mcam.levels, s, cfg)
     rows = np.arange(0, spec.n_tokens, 37)  # rows from every tile
     additive = mcam.levels[rows].astype(np.float64) * s[rows] * cfg.r
     want = attention_oracle(Q[rows], Kt, Vt, additive=additive)
@@ -132,8 +132,8 @@ def test_return_weights_leaves_output_unchanged_across_tiles(bench):
     spec, Q, _, _, Kt, Vt = bench
     s = compute_scaling_s(Q, Kt, spec, 8)
     mcam, cfg = build_mcam(spec), AttnConfig(r=0.5)
-    out, w = relational_cross_attention(Q, Kt, Vt, mcam, s, cfg, return_weights=True)
-    np.testing.assert_array_equal(out, relational_cross_attention(Q, Kt, Vt, mcam, s, cfg))
+    out, w = relational_cross_attention(Q, Kt, Vt, mcam.levels, s, cfg, return_weights=True)
+    np.testing.assert_array_equal(out, relational_cross_attention(Q, Kt, Vt, mcam.levels, s, cfg))
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-5
     out, w = standard_attention(Q, Kt, Vt, return_weights=True)
     np.testing.assert_array_equal(out, standard_attention(Q, Kt, Vt))
