@@ -24,6 +24,16 @@ from .masks import Block, CsamMask
 # buffer at a time instead of a full query x key matrix
 _SELF_TILE = 256
 _CROSS_TILE = 128
+# The backward tiles separately.  The forward's height is frozen: its
+# float32 output bits, pinned by the README loss, moved at n=7488 for
+# heights of 16-128 rows.  The float64 backward holds two tile x keys
+# buffers (P and dS), which at 64 rows and 1872 keys take 1.9 MB and fit a
+# 2 MiB L2 where 256 rows take 7.7 MB.  Median ms of one head's backward
+# (1 thread, Xeon, 2 MiB L2 per core) by height, for 16/32/48/64/96/128/256:
+#   bench_layout(), n=1872:  10-13 / 7-9 / 7-8 / 8 / 8-9 / 9 / 12
+#   ROADMAP layout, n=7488:  123-148 / 129-140 / 113-128 / 117-128 /
+#                            116-138 / 146 / 159-166
+_BWD_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -215,23 +225,38 @@ def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
     The FlashAttention backward: walks the same cover in query tiles and
     recomputes each tile's weights P = exp(Q K^T scale - lse) instead of
     keeping them; with D = rowsum(g * out) the gradient of Q K^T is
-    P * (g V^T - D) * scale, and ``scale`` is folded into Q and K here."""
+    P * (g V^T - D) * scale, and ``scale`` is folded into Q and K here.
+    Both subtractions ride in the GEMMs: ``-lse`` is one more column of
+    Q scale against a column of ones on K, and ``-D`` one more column of
+    ``g`` against ones on V.  P and its gradient dS live in two buffers of
+    ``_BWD_TILE`` rows reused by every tile."""
+    n, dt = Q.shape[0], Q.dtype
     dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
-    D = (g * out).sum(axis=1, keepdims=True)
+    ones = np.ones((n, 1), dtype=dt)
     Qs, Ks = Q * scale, K * scale
+    Qx, Kx = np.hstack([Qs, -lse[:, None]]), np.hstack([K, ones])
+    gx = np.hstack([g, -(g * out).sum(axis=1, keepdims=True)])
+    Vx = np.hstack([V, ones])
+    width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
+    size = min(_BWD_TILE, n) * width
+    p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
     for blk in blocks:
         ks = slice(blk.k0, blk.k1)
-        for q0 in range(blk.q0, blk.q1, _SELF_TILE):
-            qs = slice(q0, min(q0 + _SELF_TILE, blk.q1))
-            P = Qs[qs] @ K[ks].T
-            P -= lse[qs, None]
+        KxT, VxT = Kx[ks].T, Vx[ks].T
+        for q0 in range(blk.q0, blk.q1, _BWD_TILE):
+            qs = slice(q0, min(q0 + _BWD_TILE, blk.q1))
+            m = qs.stop - q0
+            P = p_buf[: m * KxT.shape[1]].reshape(m, -1)
+            dS = ds_buf[: P.size].reshape(P.shape)
+            np.matmul(Qx[qs], KxT, out=P)
             np.exp(P, out=P)
-            dV[ks] += P.T @ g[qs]
-            dS = g[qs] @ V[ks].T
-            dS -= D[qs]
+            # (g.T @ P).T rather than P.T @ g: the product's rows run along
+            # the long key axis, not along the 8-wide value axis
+            dV[ks] += (g[qs].T @ P).T
+            np.matmul(gx[qs], VxT, out=dS)
             dS *= P
             dQ[qs] += dS @ Ks[ks]
-            dK[ks] += dS.T @ Qs[qs]
+            dK[ks] += (Qs[qs].T @ dS).T
     return dQ, dK, dV
 
 

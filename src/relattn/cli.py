@@ -90,7 +90,10 @@ def cmd_masks(args) -> RunReport:
     t0 = time.perf_counter()
     spec = _load_spec(args.spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _refuse(f"relctl: cannot write to {args.out}: {exc}")
     report = RunReport(command="masks")
 
     csam = build_csam(spec)
@@ -307,18 +310,33 @@ def _argument_error(args) -> str | None:
     return None
 
 
+def _report_path(path: str) -> Path:
+    """The ``--json`` target, refused before any work runs when it names a
+    directory or its directory does not exist."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise _refuse(f"relctl: cannot write {path}: no directory {target.parent}")
+    if target.is_dir():
+        raise _refuse(f"relctl: cannot write {path}: it is a directory")
+    return target
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     error = _argument_error(args)
     if error:
         print(f"relctl {args.command}: {error}", file=sys.stderr)
         return 2
+    report_path = _report_path(args.json_path) if args.json_path else None
     report: RunReport = args.fn(args)
-    if args.json_path:
+    if report_path:
         # timing is a measurement, not a deterministic artifact: only the
         # bench/check reports carry it
         with_timing = report.command in ("bench", "check")
-        Path(args.json_path).write_text(report.to_json(with_timing), encoding="utf-8")
+        try:
+            report_path.write_text(report.to_json(with_timing), encoding="utf-8")
+        except OSError as exc:
+            raise _refuse(f"relctl: cannot write {report_path}: {exc}")
     return 0 if report.ok else 1
 
 

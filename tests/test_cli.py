@@ -59,6 +59,31 @@ def test_masks_missing_file():
         main(["masks", "/nonexistent/spec.json", "-o", "/tmp/x"])
 
 
+def test_masks_output_that_is_a_file_is_refused_in_one_line(tmp_path, showcase_file, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["masks", str(showcase_file), "-o", str(taken)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{exc.value}\n"
+    assert str(exc.value).startswith(f"relctl: cannot write to {taken}")
+
+
+def test_json_report_without_a_directory_is_refused_before_the_checks(
+    tmp_path, showcase_file, capsys, monkeypatch
+):
+    monkeypatch.setattr("relattn.cli.run_checks", lambda *a, **k: pytest.fail("checks ran"))
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(showcase_file), "--json", str(target)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{exc.value}\n"
+    assert str(exc.value).startswith(f"relctl: cannot write {target}")
+    assert not target.parent.exists()
+
+
 def test_check_single_spec(tmp_path, showcase_file, capsys):
     rc = main(["check", str(showcase_file)])
     assert rc == 0

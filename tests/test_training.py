@@ -18,9 +18,9 @@ from relattn.block import (
     plain_block_forward,
 )
 from relattn.corpus import bench_layout, corpus_layout, make_spec
-from relattn.masks import Block, CsamMask, decompose_blocks
+from relattn.masks import Block, CsamMask, build_csam, decompose_blocks
 
-from oracles import masked_attention_grads_oracle
+from oracles import csam_oracle, masked_attention_grads_oracle
 from strategies import layout_specs
 
 ROADMAP_LAYOUT = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1))
@@ -65,7 +65,8 @@ def test_dense_grads_oracle_matches_central_differences():
 @given(general_covers(), st.sampled_from([1, 2, 3, 256]), st.integers(0, 1000))
 def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, seed):
     # rows that span several blocks combine their log-sum-exp across blocks;
-    # small tiles split every block into several query tiles
+    # small tiles split every block into several query tiles, in the forward
+    # and in the backward, which has its own tile height
     bits, blocks = cover
     n = bits.shape[0]
     Q, K, V, g = _qkvg(n, seed)
@@ -75,13 +76,33 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     peak = logits.max(axis=1)
     want_lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
     want_out = masked_self_attention_naive(Q, K, V, CsamMask(n, blocks), scale)
-    with mock.patch.object(attention, "_SELF_TILE", tile):
+    with mock.patch.object(attention, "_SELF_TILE", tile), mock.patch.object(
+        attention, "_BWD_TILE", tile
+    ):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise(Q, K, V, order, scale)
             np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-12)
             for got, ref in zip(_blockwise_bwd(Q, K, V, out, lse, g, order, scale), want):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_blockwise_backward_matches_dense_oracle_at_the_shipped_tile():
+    # every block is taller and wider than _BWD_TILE and no height is a
+    # multiple of it: full and partial tiles of the folded -lse and -D
+    # columns accumulate into the same key rows
+    spec = make_spec(1, 9, 9, bg=1, objs=1, groups=(1,))
+    blocks = build_csam(spec).blocks
+    tile = attention._BWD_TILE
+    assert all(b.q1 - b.q0 > tile and b.k1 - b.k0 > tile for b in blocks)
+    assert all((b.q1 - b.q0) % tile for b in blocks)
+    n = spec.n_tokens
+    Q, K, V, g = _qkvg(n, 11)
+    scale = 0.5
+    want = masked_attention_grads_oracle(Q, K, V, csam_oracle(spec), g, scale)
+    out, lse = _blockwise(Q, K, V, blocks, scale)
+    for got, ref in zip(_blockwise_bwd(Q, K, V, out, lse, g, blocks, scale), want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def _problem(spec, seed, channels=16, text_channels=12, **shape):
@@ -139,8 +160,15 @@ def _training_peak_mib(spec) -> float:
 
 def test_training_memory_stays_below_dense_weights():
     # the dense taped path held n x n float64 weights per head: 140.6 MiB
-    # at n=1872 and about 2.3 GiB on the ROADMAP layout (n=7488)
+    # at n=1872 and about 2.3 GiB on the ROADMAP layout (n=7488); a
+    # backward of 256-row tiles with fresh P and dS per tile peaked at 16.3
+    # and 77.8 MiB, one of _BWD_TILE rows through two reused buffers at
+    # 11.1 and 43.9 MiB
     assert bench_layout().n_tokens == 1872
-    assert _training_peak_mib(bench_layout()) < 32.0
+    peak = _training_peak_mib(bench_layout())
+    assert peak < 32.0
+    assert peak < 14.0
     assert ROADMAP_LAYOUT.n_tokens == 7488
-    assert _training_peak_mib(ROADMAP_LAYOUT) < 128.0
+    peak = _training_peak_mib(ROADMAP_LAYOUT)
+    assert peak < 128.0
+    assert peak < 64.0
