@@ -1,6 +1,10 @@
 """Attention kernels: dense reference paths, a block-streaming masked kernel
-with online softmax, and relational cross-attention with the level mask
-scaled by a pooled query-key similarity estimate.
+and its recomputing backward, and relational cross-attention with the level
+mask scaled by a pooled query-key similarity estimate.
+
+The streaming kernel keeps an online softmax for float32, whose output bits
+the README loss pins.  Other dtypes fix each query row's softmax stabilizer
+before the walk and share the backward's augmented GEMM operands.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -51,8 +55,10 @@ class AttnConfig:
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
 
 
-def _as_matrix(name: str, x: np.ndarray) -> np.ndarray:
+def _as_matrix(name: str, x: np.ndarray, floating: bool = True) -> np.ndarray:
     x = np.asarray(x)
+    if floating and not np.issubdtype(x.dtype, np.floating):
+        raise ValueError(f"{name} must have a floating dtype, got {x.dtype}")
     if x.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
     if x.size and not np.isfinite(x).all():
@@ -172,17 +178,32 @@ def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
 def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     """Streaming masked self-attention over a disjoint block cover.
 
-    Keeps a running max and normalizer per query row (online softmax), so the
-    result matches the dense masked kernel for any block visit order.  Each
-    block is walked in query-row tiles through one reused logits buffer, so
-    memory stays O(tile x widest block) whatever the sequence length.
+    The result matches the dense masked kernel for any block visit order.
+    Each block is walked in query-row tiles through one reused logits
+    buffer, so memory stays O(tile x widest block) whatever the sequence
+    length.  float32 inputs keep a running max and normalizer per query row
+    (online softmax); other dtypes fix each row's softmax stabilizer before
+    the walk (see :func:`_blockwise`).
     """
     return _blockwise(Q, K, V, blocks, scale)[0]
 
 
 def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
-    of its scaled logits, from which :func:`_blockwise_bwd` recomputes weights."""
+    of its scaled logits, from which :func:`_blockwise_bwd` recomputes weights.
+
+    float32 runs the online softmax of :func:`_online_blockwise`, only
+    because the README loss and the pinned block outputs freeze its bits.
+    Every other dtype takes three passes.  First it fixes one stabilizer
+    per query row, ``c = scale |q| max|k|`` over the keys of the row's
+    blocks: no logit of the row exceeds it, so ``exp`` cannot overflow, and
+    the row's true max lies within ``2c`` below it.  A row whose ``2c``
+    would reach ``exp``'s subnormal range takes its exact row max instead.
+    Then each tile runs GEMM -> ``exp`` -> GEMM on the operands of
+    :func:`_folded`, which carry ``-c`` into the logits and the row sum into
+    the output, so nothing is rescaled along the way.  Last, one division
+    by the row sums.
+    """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
     if K.shape[0] != n or V.shape[0] != n:
@@ -192,8 +213,53 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     _validate_blocks(blocks, n)
     if scale is None:
         scale = _default_scale(K.shape[1])
+    dt = np.result_type(Q, K, V)
+    if dt == np.float32:
+        return _online_blockwise(Q, K, V, blocks, scale)
 
-    dt = Q.dtype
+    Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
+    width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
+    buf = np.empty(min(_SELF_TILE, n) * width, dtype=dt)
+    Qs = Q * scale
+    # a norm may overflow, and 0 * inf gives NaN: neither is below the
+    # limit, so such rows take the exact route
+    with np.errstate(over="ignore", invalid="ignore"):
+        key_norm = np.sqrt(np.einsum("ij,ij->i", K, K))
+        reach = np.zeros(n, dtype=dt)  # largest |k| over the keys of each row's blocks
+        for blk in blocks:
+            rows = reach[blk.q0 : blk.q1]
+            np.maximum(rows, key_norm[blk.k0 : blk.k1].max(), out=rows)
+        c = np.sqrt(np.einsum("ij,ij->i", Qs, Qs)) * reach
+    exact = np.flatnonzero(~(2 * c < -np.log(np.finfo(dt).tiny)))
+    if exact.size:
+        peak = np.full(exact.size, -np.inf, dtype=dt)
+        for blk in blocks:
+            Kt = K[blk.k0 : blk.k1].T
+            lo, hi = np.searchsorted(exact, (blk.q0, blk.q1))
+            for t0 in range(lo, hi, _SELF_TILE):
+                ts = slice(t0, min(t0 + _SELF_TILE, hi))
+                logits = buf[: (ts.stop - t0) * Kt.shape[1]].reshape(ts.stop - t0, -1)
+                np.matmul(Qs[exact[ts]], Kt, out=logits)
+                np.maximum(peak[ts], logits.max(axis=1), out=peak[ts])
+        c[exact] = peak
+
+    Qx, Kx, Vx = _folded(Qs, K, V, c)
+    acc = np.zeros((n, Vx.shape[1]), dtype=dt)
+    for blk in blocks:
+        KxT, Vxb = Kx[blk.k0 : blk.k1].T, Vx[blk.k0 : blk.k1]
+        for q0 in range(blk.q0, blk.q1, _SELF_TILE):
+            qs = slice(q0, min(q0 + _SELF_TILE, blk.q1))
+            P = buf[: (qs.stop - q0) * KxT.shape[1]].reshape(qs.stop - q0, -1)
+            np.matmul(Qx[qs], KxT, out=P)
+            np.exp(P, out=P)
+            acc[qs] += P @ Vxb
+    return acc[:, :-1] / acc[:, -1:], c + np.log(acc[:, -1])
+
+
+def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
+    """:func:`_blockwise` for float32: a running max and normalizer per query
+    row, rescaled whenever a tile raises the max."""
+    n, dt = Q.shape[0], Q.dtype
     sc = dt.type(scale)
     running_max = np.full(n, -np.inf, dtype=dt)
     normalizer = np.zeros(n, dtype=dt)
@@ -219,6 +285,15 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     return acc / normalizer[:, None], running_max + np.log(normalizer)
 
 
+def _folded(Qs, K, V, shift):
+    """The GEMM operands ``[Qs, -shift]``, ``[K, 1]`` and ``[V, 1]`` for
+    ``Qs`` = Q scale: their first product is Q K^T scale minus ``shift`` per
+    query row, and a weight matrix times ``[V, 1]`` carries its row sums in
+    the last column."""
+    ones = np.ones((K.shape[0], 1), dtype=K.dtype)
+    return np.hstack([Qs, -shift[:, None]]), np.hstack([K, ones]), np.hstack([V, ones])
+
+
 def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
     """Gradients (dQ, dK, dV) of :func:`_blockwise` given ``g`` at its output.
 
@@ -226,17 +301,15 @@ def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
     recomputes each tile's weights P = exp(Q K^T scale - lse) instead of
     keeping them; with D = rowsum(g * out) the gradient of Q K^T is
     P * (g V^T - D) * scale, and ``scale`` is folded into Q and K here.
-    Both subtractions ride in the GEMMs: ``-lse`` is one more column of
-    Q scale against a column of ones on K, and ``-D`` one more column of
-    ``g`` against ones on V.  P and its gradient dS live in two buffers of
-    ``_BWD_TILE`` rows reused by every tile."""
+    Both subtractions ride in the GEMMs: ``-lse`` through the operands of
+    :func:`_folded`, which the float64 forward shares, and ``-D`` as one
+    more column of ``g`` against the ones on V.  P and its gradient dS live
+    in two buffers of ``_BWD_TILE`` rows reused by every tile."""
     n, dt = Q.shape[0], Q.dtype
     dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
-    ones = np.ones((n, 1), dtype=dt)
     Qs, Ks = Q * scale, K * scale
-    Qx, Kx = np.hstack([Qs, -lse[:, None]]), np.hstack([K, ones])
+    Qx, Kx, Vx = _folded(Qs, K, V, lse)
     gx = np.hstack([g, -(g * out).sum(axis=1, keepdims=True)])
-    Vx = np.hstack([V, ones])
     width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
     size = min(_BWD_TILE, n) * width
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
@@ -317,7 +390,7 @@ def relational_cross_attention(
     :func:`standard_attention`.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
-    s, levels = _as_matrix("s", s), _as_matrix("levels", levels)
+    s, levels = _as_matrix("s", s), _as_matrix("levels", levels, floating=False)
     if Q.shape[0] != levels.shape[0] or s.shape[0] != levels.shape[0]:
         raise ValueError(
             f"Q/s must have {levels.shape[0]} rows, got {Q.shape[0]}/{s.shape[0]}"

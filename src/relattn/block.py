@@ -212,6 +212,9 @@ def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
         )
     x = np.asarray(z_tokens, dtype=dtype)
     text = np.asarray(text, dtype=dtype)
+    for name, arr in (("z_tokens", x), ("text", text)):
+        if not np.issubdtype(arr.dtype, np.floating):
+            raise ValueError(f"{name} must have a floating dtype, got {arr.dtype}")
     if x.ndim != 2 or x.shape != (spec.n_tokens, weights.channels):
         raise ValueError(
             f"z_tokens must be ({spec.n_tokens}, {weights.channels}), got {x.shape}"

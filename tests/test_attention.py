@@ -392,3 +392,17 @@ def test_non_finite_input_rejected(kernel, arg):
     args[arg][0, 0] = np.nan
     with pytest.raises(ValueError, match=f"{arg} contains non-finite"):
         call(args)
+
+
+@pytest.mark.parametrize(
+    "kernel, arg", [(k, arg) for k, (rows, _) in FINITE_KERNELS.items() for arg in rows]
+)
+def test_integer_input_rejected(kernel, arg):
+    rows, call = FINITE_KERNELS[kernel]
+    args = {
+        name: rnd((n, _L if name == "s" else 4), seed)
+        for seed, (name, n) in enumerate(rows.items())
+    }
+    args[arg] = np.round(args[arg]).astype(np.int32)
+    with pytest.raises(ValueError, match=f"{arg} must have a floating dtype, got int32"):
+        call(args)

@@ -155,6 +155,16 @@ def test_forward_validates(setup):
         block_forward(weights, x, text[:-1], spec, AttnConfig())
 
 
+@pytest.mark.parametrize("forward", [block_forward, plain_block_forward])
+@pytest.mark.parametrize("arg", ["z_tokens", "text"])
+def test_forward_rejects_integer_inputs(setup, forward, arg):
+    spec, weights, x, text = setup
+    args = {"z_tokens": x, "text": text}
+    args[arg] = np.round(args[arg]).astype(np.int64)
+    with pytest.raises(ValueError, match=f"{arg} must have a floating dtype, got int64"):
+        forward(weights, args["z_tokens"], args["text"], spec, AttnConfig())
+
+
 def test_r_changes_output(setup):
     spec, weights, x, text = setup
     a = block_forward(weights, x, text, spec, AttnConfig(r=0.0))

@@ -1,10 +1,12 @@
-"""Training runs on the inference kernel: the recomputing self-attention
-backward against dense oracles, on general covers and through the block."""
+"""Training runs on the inference kernel: the float64 streaming forward and
+the recomputing self-attention backward against dense oracles, on general
+covers and through the block."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from relattn import attention
@@ -43,6 +45,15 @@ def _qkvg(n, seed):
     return [rng.standard_normal((n, dim)) for dim in (4, 4, 3, 3)]
 
 
+def _dense_forward(Q, K, V, bits, blocks, scale):
+    """Masked scaled logits (-inf where masked), the dense kernel's output
+    and each row's log-sum-exp."""
+    logits = np.where(bits, (Q @ K.T) * scale, -np.inf)
+    peak = logits.max(axis=1)
+    lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+    return logits, masked_self_attention_naive(Q, K, V, CsamMask(len(Q), blocks), scale), lse
+
+
 def test_dense_grads_oracle_matches_central_differences():
     rng = np.random.default_rng(0)
     bits = rng.random((6, 6)) < 0.5
@@ -72,10 +83,7 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     Q, K, V, g = _qkvg(n, seed)
     scale = 0.7
     want = masked_attention_grads_oracle(Q, K, V, bits, g, scale)
-    logits = np.where(bits, (Q @ K.T) * scale, -np.inf)
-    peak = logits.max(axis=1)
-    want_lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-    want_out = masked_self_attention_naive(Q, K, V, CsamMask(n, blocks), scale)
+    _, want_out, want_lse = _dense_forward(Q, K, V, bits, blocks, scale)
     with mock.patch.object(attention, "_SELF_TILE", tile), mock.patch.object(
         attention, "_BWD_TILE", tile
     ):
@@ -85,6 +93,62 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
             np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-12)
             for got, ref in zip(_blockwise_bwd(Q, K, V, out, lse, g, order, scale), want):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@given(general_covers(), st.sampled_from([1, 2, 3, 256]), st.integers(0, 1000))
+def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, tile, seed):
+    # unit and x30 rows keep scale |q| max|k| as their stabilizer; at x1e3
+    # and x1e5 that bound would push a row's largest weight below the normal
+    # range of float64, so those rows take their exact row max instead
+    bits, blocks = cover
+    n = bits.shape[0]
+    Q, K, V, _ = _qkvg(n, seed)
+    Q *= np.random.default_rng(seed).choice([1.0, 30.0, 1e3, 1e5], size=(n, 1))
+    scale = 0.7
+    logits, want_out, want_lse = _dense_forward(Q, K, V, bits, blocks, scale)
+    # float64 logits carry an absolute error of a few ulps of their size
+    size = np.abs(np.where(bits, logits, 0.0)).max(axis=1)
+    tol = 1e-12 + 1e-14 * size
+    with mock.patch.object(attention, "_SELF_TILE", tile):
+        for order in (blocks, blocks[::-1]):
+            out, lse = _blockwise(Q, K, V, order, scale)
+            assert np.isfinite(out).all() and np.isfinite(lse).all()
+            assert (np.abs(out - want_out) <= tol[:, None]).all()
+            assert (np.abs(lse - want_lse) <= tol).all()
+
+
+def test_float64_forward_takes_the_exact_route_when_a_norm_overflows():
+    # |k|^2 overflows to inf, and times the zero query row gives NaN
+    Q, K, V = np.zeros((3, 2)), np.ones((3, 2)), np.eye(3)[:, :2].copy()
+    Q[1], K[0, 0] = 1e-200, 1e160
+    blocks = [Block(0, 3, 0, 3)]
+    out, lse = _blockwise(Q, K, V, blocks, 1.0)
+    _, want_out, want_lse = _dense_forward(Q, K, V, np.ones((3, 3), bool), blocks, 1.0)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-15)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="long double is no wider than float64 here",
+)
+@pytest.mark.parametrize("factor", [1.0, 30.0, 1e3])
+def test_float64_forward_matches_long_double_oracle(factor):
+    spec = bench_layout()
+    n, blocks = spec.n_tokens, build_csam(spec).blocks
+    rng = np.random.default_rng(21)
+    Q, K, V = (rng.standard_normal((n, 8)) for _ in range(3))
+    Q *= factor
+    out, lse = _blockwise(Q, K, V, blocks)
+    wide = np.longdouble
+    Ql, Kl, Vl = Q.astype(wide), K.astype(wide), V.astype(wide)
+    for i in range(0, n, 23):  # rows of every block and every tile
+        keys = np.concatenate([np.arange(b.k0, b.k1) for b in blocks if b.q0 <= i < b.q1])
+        logits = (Kl[keys] @ Ql[i]) * wide(1 / np.sqrt(8))
+        peak = logits.max()
+        w = np.exp(logits - peak)
+        assert np.abs(out[i] - (w / w.sum()) @ Vl[keys]).max() <= 1e-12
+        assert abs(lse[i] - (peak + np.log(w.sum()))) <= 1e-12 * max(1.0, abs(float(peak)))
 
 
 def test_blockwise_backward_matches_dense_oracle_at_the_shipped_tile():
