@@ -2,8 +2,10 @@
 
 Grouped rotary position assignment, a causal self-attention mask with an
 exact rectangular-block cover, a multilevel cross-attention mask with
-position-wise dynamic scaling, reference and block-streaming kernels, and a
-toy relational transformer block trained with a flow-matching objective.
+position-wise dynamic scaling, block-streaming kernels, and a toy relational
+transformer block trained with a flow-matching objective.  The dense
+reference paths that the checks, ``relctl bench`` and the tests hold those
+against live in :mod:`relattn.reference`, the package's executable spec.
 """
 
 import os
@@ -36,14 +38,7 @@ _apply_thread_cap()
 
 __version__ = "0.1.0"
 
-from .attention import (  # noqa: E402
-    AttnConfig,
-    compute_scaling_s,
-    masked_self_attention_blockwise,
-    masked_self_attention_naive,
-    relational_cross_attention,
-    standard_attention,
-)
+from .attention import AttnConfig, masked_self_attention_blockwise  # noqa: E402
 from .block import (  # noqa: E402
     BlockWeights,
     FlowSample,
@@ -62,23 +57,17 @@ from .layout import (  # noqa: E402
     LayoutSchemaError,
     LayoutSpec,
     LayoutSyntaxError,
-    TokenAddress,
-    address_of,
-    branch_of,
-    entity_of,
-    flat_of,
     parse_spec,
-    text_level_of,
     to_json,
 )
-from .masks import (  # noqa: E402
-    Block,
-    CsamMask,
-    McamMask,
-    build_csam,
-    build_mcam,
+from .masks import Block, CsamMask, McamMask, build_csam, build_mcam  # noqa: E402
+from .reference import (  # noqa: E402
+    compute_scaling_s,
     decompose_blocks,
-    materialize_blocks,
+    masked_self_attention_naive,
+    relational_cross_attention,
+    standard_attention,
+    text_level_of,
 )
 from .rotary import (  # noqa: E402
     RotaryConfig,
@@ -103,10 +92,7 @@ __all__ = [
     "LayoutSyntaxError",
     "McamMask",
     "RotaryConfig",
-    "TokenAddress",
-    "address_of",
     "block_forward",
-    "branch_of",
     "build_csam",
     "build_mcam",
     "compute_scaling_s",
@@ -114,15 +100,12 @@ __all__ = [
     "default_config",
     "default_split",
     "demo_fit",
-    "entity_of",
-    "flat_of",
     "flow_interpolate",
     "fm_loss",
     "grad_check",
     "init_weights",
     "masked_self_attention_blockwise",
     "masked_self_attention_naive",
-    "materialize_blocks",
     "parse_spec",
     "plain_block_forward",
     "position_array",

@@ -1,6 +1,8 @@
-"""Attention kernels: dense reference paths, a block-streaming masked kernel
-and its recomputing backward, and relational cross-attention with the level
-mask scaled by a pooled query-key similarity estimate.
+"""Attention kernels the block runs: a block-streaming masked kernel and its
+recomputing backward, and the pieces of relational cross-attention (a tiled
+softmax with the level term added per row, and a query-key similarity
+estimate pooled per d x d patch).  The dense reference kernels these are
+tested against live in :mod:`relattn.reference`.
 
 The streaming kernel keeps an online softmax for float32, whose output bits
 the README loss pins.  Other dtypes fix each query row's softmax stabilizer
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .layout import LayoutSpec
-from .masks import Block, CsamMask
+from .masks import Block
 
 # query rows per tile: the streaming kernels hold one tile x keys logits
 # buffer at a time instead of a full query x key matrix
@@ -106,47 +108,6 @@ def _attend(Q, K, V, scale, return_weights, level_term=None):
         logits /= logits.sum(axis=1, keepdims=True)
         np.matmul(logits, V, out=out[rows])
     return (out, weights) if return_weights else out
-
-
-def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool = False):
-    """Unmasked scaled-dot-product attention (baseline for equivalence tests)."""
-    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
-    if Q.shape[1] != K.shape[1] or K.shape[0] != V.shape[0]:
-        raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
-    if K.shape[0] == 0:
-        raise ValueError("attention requires at least one key")
-    return _attend(Q, K, V, scale if scale is not None else _default_scale(K.shape[1]), return_weights)
-
-
-def masked_self_attention_naive(
-    Q, K, V, mask: CsamMask, scale: float | None = None, return_weights: bool = False
-):
-    """Dense masked self-attention; masked keys get exactly zero weight.
-
-    Masked logits become -inf, and after row-max subtraction the -inf
-    sentinel is clamped to the most-negative finite value so exp underflows
-    to an exact 0 without producing NaN.
-    """
-    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
-    if not (Q.shape[0] == K.shape[0] == V.shape[0] == mask.n):
-        raise ValueError(
-            f"Q/K/V must each have {mask.n} rows, got {Q.shape[0]}/{K.shape[0]}/{V.shape[0]}"
-        )
-    if Q.shape[1] != K.shape[1]:
-        raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
-    if not mask.bits.any(axis=1).all():
-        raise ValueError("mask has a query row with no admissible key")
-
-    if scale is None:
-        scale = _default_scale(K.shape[1])
-    logits = (Q @ K.T) * Q.dtype.type(scale)
-    logits = np.where(mask.bits, logits, -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
-    np.maximum(logits, np.finfo(logits.dtype).min, out=logits)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    out = w @ V
-    return (out, w) if return_weights else out
 
 
 def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
@@ -357,52 +318,3 @@ def _pooled_similarity(Q, K_text, spec: LayoutSpec, d: int, cells: np.ndarray) -
     """|pooled Q K_text^T| with one row per d x d patch of every frame, in
     :func:`_patch_sum` order; ``cells`` holds each patch's token count."""
     return np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)
-
-
-def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
-    """Position-wise |Q K^T| estimate from spatially average-pooled queries.
-
-    Each frame's H x W query grid is mean-pooled over d x d patches (ragged
-    edges average their actual cells), the pooled queries are scored against
-    the text keys, and each patch's |similarity| row is repeated over every
-    token of the patch.  d=1 reduces to the exact |Q K^T|.
-    """
-    Q, K_text = _as_matrix("Q", Q), _as_matrix("K_text", K_text)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if Q.shape[0] != spec.n_tokens:
-        raise ValueError(f"Q must have {spec.n_tokens} rows (z' layout), got {Q.shape[0]}")
-    if Q.shape[1] != K_text.shape[1]:
-        raise ValueError(f"Q and K_text feature dims differ: {Q.shape[1]} vs {K_text.shape[1]}")
-
-    cells, row_patch = _patch_geometry(spec, d, Q.dtype)
-    return _pooled_similarity(Q, K_text, spec, d, cells)[row_patch]
-
-
-def relational_cross_attention(
-    Q, K, V, levels, s, cfg: AttnConfig, return_weights: bool = False
-):
-    """Cross-attention with the n x L level matrix ``levels`` (for instance
-    ``build_mcam(spec).levels``) injected additively as levels*s*r.
-
-    The full sum (logits plus the mask term) is scaled by 1/sqrt(d_K); with
-    r=0 the additive term vanishes and the kernel is bit-identical to
-    :func:`standard_attention`.
-    """
-    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
-    s, levels = _as_matrix("s", s), _as_matrix("levels", levels, floating=False)
-    if Q.shape[0] != levels.shape[0] or s.shape[0] != levels.shape[0]:
-        raise ValueError(
-            f"Q/s must have {levels.shape[0]} rows, got {Q.shape[0]}/{s.shape[0]}"
-        )
-    if K.shape[0] != levels.shape[1] or s.shape[1] != levels.shape[1] or V.shape[0] != K.shape[0]:
-        raise ValueError(
-            f"K/V/s must span {levels.shape[1]} text tokens, got {K.shape[0]}/{V.shape[0]}/{s.shape[1]}"
-        )
-    if Q.shape[1] != K.shape[1]:
-        raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
-    if K.shape[0] == 0:
-        raise ValueError("cross-attention requires at least one text token")
-
-    table = levels * (s * np.result_type(Q, K, s).type(cfg.r))
-    return _attend(Q, K, V, _default_scale(K.shape[1]), return_weights, (table, np.arange(len(Q)), 0))

@@ -403,7 +403,14 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
 def _row_loss(y, target, loss_rows):
     """Mean squared error over ``loss_rows`` (all rows when None), with the
     rows and their differences for the output gradient."""
-    rows = np.arange(y.shape[0]) if loss_rows is None else np.asarray(loss_rows)
+    n = y.shape[0]
+    rows = np.arange(n) if loss_rows is None else np.asarray(loss_rows)
+    # an empty selection would average nothing into NaN, numpy indexing
+    # would wrap a negative row to the end, and the output gradient keeps
+    # one copy of a repeated row where the loss counts each
+    ok = rows.size and np.issubdtype(rows.dtype, np.integer) and rows.min() >= 0 and rows.max() < n
+    if not (ok and np.unique(rows).size == rows.size):
+        raise ValueError(f"loss_rows must be a non-empty array of distinct integer rows in [0, {n})")
     diff = y[rows] - target[rows]
     return float(np.mean(diff * diff)), rows, diff
 
@@ -420,7 +427,8 @@ def loss_and_gradients(
     """Flow-matching loss and its analytic gradients (float64 throughout).
 
     ``loss_rows``, when given, restricts the mean-squared error to those
-    output rows; the default is the full :func:`fm_loss`.
+    output rows, a non-empty array of distinct integer rows in [0, n); the
+    default is the full :func:`fm_loss`.
     """
     w, x, text, rot, patches = _prepare(weights, z_tokens, text, spec, cfg, build_mcam(spec), np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -478,6 +486,10 @@ def grad_check(
     """
     if not 1e-5 <= epsilon <= 1e-2:
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
+    if max_coords < 1:
+        raise ValueError(f"max_coords must be >= 1, got {max_coords}")
+    if arrays is not None and not arrays:
+        raise ValueError("arrays must name at least one array")
     w, x, text, rot, patches = _prepare(
         weights.astype(np.float64), z_tokens, text, spec, cfg, build_mcam(spec), np.float64
     )

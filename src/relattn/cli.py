@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import AttnConfig, masked_self_attention_blockwise, masked_self_attention_naive
+from .attention import AttnConfig, masked_self_attention_blockwise
 from .block import FlowSample, block_forward, flow_interpolate, fm_loss, init_weights, sample_time_logit_normal
 from .checks import CheckResult, run_checks
 from .corpus import builtin_corpus
 from .layout import LayoutError, LayoutSpec, parse_spec
 from .masks import build_csam, build_mcam, write_csam_csv, write_csam_pgm, write_mcam_csv, write_mcam_pgm
+from .reference import masked_self_attention_naive
 from .rotary import position_array
 
 FORWARD_CHANNELS = 16

@@ -1,4 +1,4 @@
-"""Token layout: canonical addressing for a video latent concatenated with condition frames.
+"""Token layout: a video latent concatenated with condition frames.
 
 The token sequence is the denoising video latent (``T`` frames of ``H*W``
 tokens, raster order) followed by one latent frame of ``H*W`` tokens per
@@ -10,10 +10,8 @@ That declaration order fixes every derived index in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 KINDS = ("background", "object", "face", "attribute")
 SUBJECT_KINDS = ("face", "attribute")
@@ -48,22 +46,6 @@ class Entity:
     kind: str
     group: int | None = None
     span: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class TokenAddress:
-    """Structured coordinates of one flat token index.
-
-    ``branch`` is ``"video"`` or ``"entity<e>"`` where ``e`` is the entity
-    ordinal; ``frame`` is the frame ordinal inside that branch (always 0 for
-    condition entities), ``row``/``col`` are the height/width coordinates.
-    """
-
-    flat: int
-    branch: str
-    frame: int
-    row: int
-    col: int
 
 
 @dataclass(frozen=True)
@@ -283,91 +265,3 @@ def to_json(spec: LayoutSpec) -> str:
         entities.append(node)
     doc = {"T": spec.T, "H": spec.H, "W": spec.W, "text_len": spec.text_len, "entities": entities}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _check_flat(spec: LayoutSpec, flat: int) -> None:
-    if not 0 <= flat < spec.n_tokens:
-        raise IndexError(f"flat index {flat} outside [0, {spec.n_tokens})")
-
-
-def address_of(spec: LayoutSpec, flat: int) -> TokenAddress:
-    """Decompose a flat index into (branch, frame, row, col)."""
-    _check_flat(spec, flat)
-    frame, offset = divmod(flat, spec.hw)
-    row, col = divmod(offset, spec.W)
-    if frame < spec.T:
-        return TokenAddress(flat=flat, branch="video", frame=frame, row=row, col=col)
-    e = frame - spec.T
-    return TokenAddress(flat=flat, branch=f"entity{e}", frame=0, row=row, col=col)
-
-
-def flat_of(spec: LayoutSpec, address: TokenAddress) -> int:
-    """Inverse of :func:`address_of`."""
-    if not (0 <= address.row < spec.H and 0 <= address.col < spec.W):
-        raise IndexError(f"row/col ({address.row},{address.col}) outside {spec.H}x{spec.W} grid")
-    offset = address.row * spec.W + address.col
-    if address.branch == "video":
-        if not 0 <= address.frame < spec.T:
-            raise IndexError(f"video frame {address.frame} outside [0, {spec.T})")
-        return address.frame * spec.hw + offset
-    e = int(address.branch.removeprefix("entity"))
-    if not 0 <= e < spec.n_entities:
-        raise IndexError(f"entity ordinal {e} outside [0, {spec.n_entities})")
-    if address.frame != 0:
-        raise IndexError("condition entities hold a single frame")
-    return (spec.T + e) * spec.hw + offset
-
-
-def entity_of(spec: LayoutSpec, flat: int) -> int | None:
-    """Entity ordinal of a token, or None for video tokens."""
-    _check_flat(spec, flat)
-    frame = flat // spec.hw
-    return None if frame < spec.T else frame - spec.T
-
-
-def branch_of(spec: LayoutSpec, flat: int) -> str:
-    """Attention-branch label: a subject group is one branch, every
-    background/object entity is its own, video is ``"video"``."""
-    e = entity_of(spec, flat)
-    return "video" if e is None else spec.branch_labels[e]
-
-
-def branch_index_per_token(spec: LayoutSpec) -> np.ndarray:
-    """Integer branch id per token; video tokens get -1.
-
-    Condition branches are numbered by first appearance, so ids are
-    contiguous over [0, n_branches).
-    """
-    ids = np.full(spec.n_tokens, -1, dtype=np.int32)
-    order: dict[str, int] = {}
-    for e in range(spec.n_entities):
-        label = spec.branch_labels[e]
-        bid = order.setdefault(label, len(order))
-        start, end = spec.entity_range(e)
-        ids[start:end] = bid
-    return ids
-
-
-def text_level_of(spec: LayoutSpec, visual_flat: int, text_idx: int) -> int:
-    """Correlation level between one visual token and one caption token.
-
-    +1 when the token's entity span contains the caption index, or both sit
-    in the same subject group; -1 between subject tokens and caption tokens
-    of a different subject group; 0 otherwise (video rows are always 0).
-    """
-    if not 0 <= text_idx < spec.text_len:
-        raise IndexError(f"text index {text_idx} outside [0, {spec.text_len})")
-    e = entity_of(spec, visual_flat)
-    if e is None:
-        return 0
-    ent = spec.entities[e]
-
-    def _contains(span: tuple[int, int] | None) -> bool:
-        return span is not None and span[0] <= text_idx < span[1]
-
-    if ent.kind in SUBJECT_KINDS:
-        for g, members in enumerate(spec.groups):
-            if any(_contains(spec.entities[m].span) for m in members):
-                return 1 if g == ent.group else -1
-        return 0
-    return 1 if _contains(ent.span) else 0

@@ -3,8 +3,10 @@
 Self-attention: video queries see everything; condition queries see only
 their own branch (one background/object entity, or one whole subject group).
 The mask is carried as its exact rectangular-block cover, derived from the
-layout, so kernels can stream it; the dense boolean form is built only when
-something asks for it.
+layout, so kernels can stream it; the dense boolean form is built from the
+cover only when something asks for it (the exporters, the dense reference
+kernel).  The general cover of any dense mask, which the derived one is
+tested against, is :func:`relattn.reference.decompose_blocks`.
 
 Cross-attention: a {-1, 0, +1} level per (visual token, caption token) pair,
 encoding weak/neutral/strong correlation.
@@ -55,7 +57,9 @@ class CsamMask:
     @property
     def bits(self) -> np.ndarray:
         if self._bits is None:
-            self._bits = materialize_blocks(self.blocks, self.n)
+            self._bits = np.zeros((self.n, self.n), dtype=bool)
+            for blk in self.blocks:
+                self._bits[blk.q0 : blk.q1, blk.k0 : blk.k1] = True
         return self._bits
 
     def __repr__(self) -> str:
@@ -93,7 +97,7 @@ def build_csam(spec: LayoutSpec) -> CsamMask:
     block, then one square block per condition branch.  A branch is a run of
     consecutive entities with the same label (a subject group is
     contiguous), so the blocks come out in token order, exactly as
-    :func:`decompose_blocks` would find them in the dense mask.
+    :func:`relattn.reference.decompose_blocks` finds them in the dense mask.
     """
     n, start = spec.n_tokens, spec.n_video_tokens
     blocks = [Block(0, start, 0, n)]
@@ -102,54 +106,6 @@ def build_csam(spec: LayoutSpec) -> CsamMask:
         blocks.append(Block(start, end, start, end))
         start = end
     return CsamMask(n, blocks)
-
-
-def decompose_blocks(mask: np.ndarray) -> list[Block]:
-    """Exact disjoint rectangular cover of a boolean mask.
-
-    Each row is split into maximal contiguous column runs; adjacent rows with
-    identical run sets merge into one row band.  The result reproduces the
-    mask bit-for-bit (verified before returning; all-False rows are simply
-    uncovered).  This is the general routine for any mask, and the oracle
-    that :func:`build_csam`'s derived cover is tested against.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
-    n_rows, n_cols = mask.shape
-
-    def runs_of(row: np.ndarray) -> tuple[tuple[int, int], ...]:
-        padded = np.diff(np.concatenate(([0], row.astype(np.int8), [0])))
-        starts = np.flatnonzero(padded == 1)
-        ends = np.flatnonzero(padded == -1)
-        return tuple(zip(starts.tolist(), ends.tolist()))
-
-    blocks: list[Block] = []
-    q = 0
-    while q < n_rows:
-        runs = runs_of(mask[q])
-        q_end = q + 1
-        while q_end < n_rows and runs_of(mask[q_end]) == runs:
-            q_end += 1
-        blocks.extend(Block(q0=q, q1=q_end, k0=k0, k1=k1) for k0, k1 in runs)
-        q = q_end
-
-    rebuilt = np.zeros_like(mask)
-    for blk in blocks:
-        if rebuilt[blk.q0 : blk.q1, blk.k0 : blk.k1].any():
-            raise ValueError(f"internal error: block cover overlaps at {blk}")
-        rebuilt[blk.q0 : blk.q1, blk.k0 : blk.k1] = True
-    if not np.array_equal(rebuilt, mask):
-        raise ValueError("mask is not representable by the computed block cover")
-    return blocks
-
-
-def materialize_blocks(blocks: tuple[Block, ...] | list[Block], n: int) -> np.ndarray:
-    """Dense boolean matrix covered by ``blocks`` (n x n)."""
-    bits = np.zeros((n, n), dtype=bool)
-    for blk in blocks:
-        bits[blk.q0 : blk.q1, blk.k0 : blk.k1] = True
-    return bits
 
 
 def build_mcam(spec: LayoutSpec) -> McamMask:

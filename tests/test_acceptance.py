@@ -9,19 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from relattn.attention import (
-    AttnConfig,
-    compute_scaling_s,
-    masked_self_attention_blockwise,
-    masked_self_attention_naive,
-    relational_cross_attention,
-    standard_attention,
-)
+from relattn.attention import AttnConfig, masked_self_attention_blockwise
 from relattn.block import FlowSample, demo_fit, flow_interpolate, fm_loss, grad_check, init_weights
 from relattn.cli import main
 from relattn.corpus import builtin_corpus, corpus_layout, make_spec
 from relattn.layout import to_json
 from relattn.masks import build_csam, build_mcam
+from relattn.reference import (
+    compute_scaling_s,
+    masked_self_attention_naive,
+    relational_cross_attention,
+    standard_attention,
+)
 from relattn.rotary import default_config, position_array, rotary_table, rotate
 
 from oracles import csam_oracle, fm_loss_oracle, mcam_oracle, positions_oracle

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relattn.attention import (
-    AttnConfig,
+from relattn.attention import AttnConfig, masked_self_attention_blockwise
+from relattn.corpus import make_spec
+from relattn.masks import Block, CsamMask, build_csam, build_mcam
+from relattn.reference import (
     compute_scaling_s,
-    masked_self_attention_blockwise,
+    decompose_blocks,
     masked_self_attention_naive,
     relational_cross_attention,
     standard_attention,
 )
-from relattn.corpus import make_spec
-from relattn.masks import Block, CsamMask, build_csam, build_mcam, decompose_blocks
 
 from oracles import attention_oracle, scaling_oracle
 

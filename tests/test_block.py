@@ -17,7 +17,8 @@ from relattn.block import (
     sample_time_logit_normal,
 )
 from relattn.corpus import make_spec
-from relattn.masks import CsamMask, decompose_blocks
+from relattn.masks import CsamMask
+from relattn.reference import decompose_blocks
 
 from oracles import fm_loss_oracle
 
@@ -265,6 +266,27 @@ def test_grad_check_epsilon_range():
         grad_check(weights, x, text, spec, AttnConfig(), target, epsilon=0.5)
     with pytest.raises(ValueError):
         grad_check(weights, x, text, spec, AttnConfig(), target, arrays=["nope"])
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_coords"):
+            grad_check(weights, x, text, spec, AttnConfig(), target, max_coords=bad)
+    with pytest.raises(ValueError, match="arrays"):
+        grad_check(weights, x, text, spec, AttnConfig(), target, arrays=[])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [np.array([], dtype=int), np.array([0.5]), np.array([4]), np.array([-1]), np.array([1, 1])],
+    ids=["empty", "fractional", "past-end", "negative", "repeated"],
+)
+def test_loss_rows_must_select_existing_rows(rows):
+    spec = make_spec(1, 1, 2, bg=1)
+    rng = np.random.default_rng(13)
+    weights = init_weights(rng, channels=6, text_channels=4, dtype=np.float64)
+    x = rng.standard_normal((spec.n_tokens, 6))
+    text = rng.standard_normal((spec.text_len, 4))
+    assert spec.n_tokens == 4
+    with pytest.raises(ValueError, match="loss_rows"):
+        loss_and_gradients(weights, x, text, spec, AttnConfig(), np.zeros_like(x), loss_rows=rows)
 
 
 def test_grad_check_multiple_seeds():

@@ -6,7 +6,8 @@ from hypothesis import given
 from relattn import masks
 from relattn.checks import check_layout
 from relattn.corpus import bench_layout, builtin_corpus, corpus_layout, make_spec
-from relattn.masks import Block, CsamMask, build_csam, decompose_blocks
+from relattn.masks import Block, CsamMask, build_csam
+from relattn.reference import decompose_blocks
 
 from oracles import csam_oracle, csam_oracle_vectorized
 from strategies import layout_specs

@@ -10,15 +10,10 @@ from relattn.layout import (
     LayoutSchemaError,
     LayoutSpec,
     LayoutSyntaxError,
-    TokenAddress,
-    address_of,
-    branch_of,
-    entity_of,
-    flat_of,
     parse_spec,
-    text_level_of,
     to_json,
 )
+from relattn.reference import branch_index_per_token, text_level_of
 
 DOC = json.dumps(
     {
@@ -120,58 +115,21 @@ def test_empty_span_is_allowed_and_never_overlaps():
     assert spec.entities[0].span == (3, 3)
 
 
-def test_address_examples():
-    spec = parse_spec(DOC)
-    a0 = address_of(spec, 0)
-    assert (a0.branch, a0.frame, a0.row, a0.col) == ("video", 0, 0, 0)
-    a32 = address_of(spec, 32)
-    assert (a32.branch, a32.frame, a32.row, a32.col) == ("entity0", 0, 0, 0)
-    a79 = address_of(spec, 79)
-    assert (a79.branch, a79.row, a79.col) == ("entity2", 3, 3)
-    with pytest.raises(IndexError):
-        address_of(spec, 80)
-    with pytest.raises(IndexError):
-        address_of(spec, -1)
-
-
-def test_bijection_exhaustive():
-    spec = parse_spec(DOC)
-    seen = set()
-    for flat in range(spec.n_tokens):
-        addr = address_of(spec, flat)
-        assert flat_of(spec, addr) == flat
-        seen.add((addr.branch, addr.frame, addr.row, addr.col))
-    assert len(seen) == spec.n_tokens
-
-
-def test_flat_of_validates():
-    spec = parse_spec(DOC)
-    with pytest.raises(IndexError):
-        flat_of(spec, TokenAddress(flat=0, branch="video", frame=2, row=0, col=0))
-    with pytest.raises(IndexError):
-        flat_of(spec, TokenAddress(flat=0, branch="entity3", frame=0, row=0, col=0))
-    with pytest.raises(IndexError):
-        flat_of(spec, TokenAddress(flat=0, branch="entity0", frame=1, row=0, col=0))
-
-
 def test_branch_of():
     spec = parse_spec(DOC)
-    face = spec.entity_range(1)[0]
-    attr = spec.entity_range(2)[0]
-    bg = spec.entity_range(0)[0]
-    assert branch_of(spec, face) == branch_of(spec, attr) == "group0"
-    assert branch_of(spec, bg) == "entity0"
-    assert branch_of(spec, bg) != branch_of(spec, face)
-    for flat in range(spec.n_video_tokens):
-        assert branch_of(spec, flat) == "video"
+    labels = spec.branch_labels
+    assert labels[1] == labels[2] == "group0"  # face and attribute
+    assert labels[0] == "entity0"  # background
+    assert labels[0] != labels[1]
+    video = branch_index_per_token(spec)[: spec.n_video_tokens]
+    assert (video == -1).all()
 
 
 def test_bg_and_obj_get_distinct_branches():
     spec = LayoutSpec(
         T=1, H=2, W=2, entities=(Entity("background"), Entity("object")), text_len=0
     )
-    a = branch_of(spec, spec.entity_range(0)[0])
-    b = branch_of(spec, spec.entity_range(1)[0])
+    a, b = spec.branch_labels
     assert a != b
 
 
@@ -188,6 +146,9 @@ def test_text_levels():
         assert text_level_of(spec, 0, t) == 0  # video row
     with pytest.raises(IndexError):
         text_level_of(spec, 0, 12)
+    for flat in (-1, spec.n_tokens):
+        with pytest.raises(IndexError):
+            text_level_of(spec, flat, 0)
 
 
 def test_cross_group_level_is_minus_one():
@@ -223,13 +184,6 @@ def test_json_round_trip():
     assert again == spec
 
 
-def test_entity_of():
-    spec = parse_spec(DOC)
-    assert entity_of(spec, 0) is None
-    assert entity_of(spec, 32) == 0
-    assert entity_of(spec, 79) == 2
-
-
 layout_params = st.tuples(
     st.integers(1, 3),  # T
     st.integers(1, 4),  # H
@@ -246,7 +200,5 @@ def test_bijection_property(params):
 
     T, H, W, bg, objs, groups = params
     spec = make_spec(T, H, W, bg=bg, objs=objs, groups=tuple(groups))
-    for flat in range(0, spec.n_tokens, max(1, spec.n_tokens // 37)):
-        assert flat_of(spec, address_of(spec, flat)) == flat
-    labels = {branch_of(spec, f) for f in range(spec.n_tokens)}
+    labels = set(branch_index_per_token(spec).tolist())
     assert len(labels) == 1 + spec.n_bgobj + spec.n_groups

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relattn import block
-from relattn.attention import AttnConfig, compute_scaling_s, relational_cross_attention
+from relattn.attention import AttnConfig
 from relattn.block import block_forward, init_weights, loss_and_gradients
 from relattn.corpus import corpus_layout, make_spec
 from relattn.masks import build_csam, build_mcam
+from relattn.reference import compute_scaling_s, relational_cross_attention
 
 from strategies import layout_specs
 

@@ -1,0 +1,69 @@
+"""The dense reference paths live in ``relattn.reference`` and nowhere else.
+
+The modules the block runs must not reach back into the reference module,
+so that everything ``block_forward`` and ``loss_and_gradients`` execute can
+be read without it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import relattn
+from relattn import reference
+
+PRODUCTION = ("attention", "block", "masks", "layout", "rotary", "corpus")
+MOVED = (
+    "standard_attention",
+    "masked_self_attention_naive",
+    "compute_scaling_s",
+    "relational_cross_attention",
+    "decompose_blocks",
+    "text_level_of",
+    "branch_index_per_token",
+)
+DELETED = ("TokenAddress", "address_of", "flat_of", "entity_of", "branch_of", "materialize_blocks")
+SRC = Path(relattn.__file__).parent
+
+
+def _imports_and_definitions(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Absolute names of the modules a package module imports, and every
+    name it binds by ``def``, ``class``, assignment or import."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1
+            base = ".".join(filter(None, ["relattn" if node.level else "", node.module]))
+            modules.add(base)
+            # a submodule imported by name: ``from . import reference``
+            modules.update(f"{base}.{alias.name}" for alias in node.names)
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return modules, names
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_modules_do_not_depend_on_the_reference(module):
+    modules, names = _imports_and_definitions(ast.parse((SRC / f"{module}.py").read_text()))
+    assert "relattn.reference" not in modules
+    assert not names & set(MOVED)
+
+
+def test_moved_functions_are_exported_from_the_reference():
+    for name in MOVED:
+        assert getattr(reference, name).__module__ == "relattn.reference"
+    for name in set(MOVED) & set(relattn.__all__):
+        assert getattr(relattn, name) is getattr(reference, name)
+
+
+def test_deleted_names_are_gone():
+    for name in DELETED:
+        assert name not in relattn.__all__
+        assert not hasattr(relattn, name)

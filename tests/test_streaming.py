@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relattn import attention
-from relattn.attention import (
-    AttnConfig,
+from relattn.attention import AttnConfig, masked_self_attention_blockwise
+from relattn.block import block_forward, init_weights
+from relattn.corpus import bench_layout, make_spec
+from relattn.masks import Block, build_csam, build_mcam
+from relattn.reference import (
     compute_scaling_s,
-    masked_self_attention_blockwise,
     masked_self_attention_naive,
     relational_cross_attention,
     standard_attention,
 )
-from relattn.block import block_forward, init_weights
-from relattn.corpus import bench_layout, make_spec
-from relattn.masks import Block, build_csam, build_mcam
 
 from oracles import attention_oracle
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relattn import attention
-from relattn.attention import AttnConfig, _blockwise, _blockwise_bwd, masked_self_attention_naive
+from relattn.attention import AttnConfig, _blockwise, _blockwise_bwd
 from relattn.block import (
     block_forward,
     fm_loss,
@@ -20,7 +20,8 @@ from relattn.block import (
     plain_block_forward,
 )
 from relattn.corpus import bench_layout, corpus_layout, make_spec
-from relattn.masks import Block, CsamMask, build_csam, decompose_blocks
+from relattn.masks import Block, CsamMask, build_csam
+from relattn.reference import decompose_blocks, masked_self_attention_naive
 
 from oracles import csam_oracle, masked_attention_grads_oracle
 from strategies import layout_specs
