@@ -6,7 +6,8 @@ tested against live in :mod:`relattn.reference`.
 
 The streaming kernel keeps an online softmax for float32, whose output bits
 the README loss pins.  Other dtypes fix each query row's softmax stabilizer
-before the walk and share the backward's augmented GEMM operands.
+before the walk and share the backward's augmented GEMM operands and its
+tile height.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -27,18 +28,20 @@ from .layout import LayoutSpec
 from .masks import Block
 
 # query rows per tile: the streaming kernels hold one tile x keys logits
-# buffer at a time instead of a full query x key matrix
+# buffer at a time instead of a full query x key matrix.  _SELF_TILE is the
+# height of the float32 online softmax and stays frozen: its output bits,
+# pinned by the README loss, moved at n=7488 for heights of 16-128 rows.
 _SELF_TILE = 256
 _CROSS_TILE = 128
-# The backward tiles separately.  The forward's height is frozen: its
-# float32 output bits, pinned by the README loss, moved at n=7488 for
-# heights of 16-128 rows.  The float64 backward holds two tile x keys
-# buffers (P and dS), which at 64 rows and 1872 keys take 1.9 MB and fit a
-# 2 MiB L2 where 256 rows take 7.7 MB.  Median ms of one head's backward
-# (1 thread, Xeon, 2 MiB L2 per core) by height, for 16/32/48/64/96/128/256:
+# Every other dtype walks one height in both directions, the forward's
+# single buffer and the backward's two (P and dS).  At 64 rows and 1872
+# keys a float64 buffer takes 0.9 MB, and the backward's pair fits a 2 MiB
+# L2 where 256 rows take 7.7 MB.  Median ms of one head's backward (1
+# thread, Xeon, 2 MiB L2 per core) by height, for 16/32/48/64/96/128/256:
 #   bench_layout(), n=1872:  10-13 / 7-9 / 7-8 / 8 / 8-9 / 9 / 12
 #   ROADMAP layout, n=7488:  123-148 / 129-140 / 113-128 / 117-128 /
 #                            116-138 / 146 / 159-166
+# and of one head's forward at n=7488, 64 rows ran in 50-54 ms, 256 in 57-62.
 _BWD_TILE = 64
 
 
@@ -153,17 +156,18 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
     of its scaled logits, from which :func:`_blockwise_bwd` recomputes weights.
 
-    float32 runs the online softmax of :func:`_online_blockwise`, only
-    because the README loss and the pinned block outputs freeze its bits.
-    Every other dtype takes three passes.  First it fixes one stabilizer
-    per query row, ``c = scale |q| max|k|`` over the keys of the row's
-    blocks: no logit of the row exceeds it, so ``exp`` cannot overflow, and
-    the row's true max lies within ``2c`` below it.  A row whose ``2c``
-    would reach ``exp``'s subnormal range takes its exact row max instead.
-    Then each tile runs GEMM -> ``exp`` -> GEMM on the operands of
-    :func:`_folded`, which carry ``-c`` into the logits and the row sum into
-    the output, so nothing is rescaled along the way.  Last, one division
-    by the row sums.
+    float32 runs the online softmax of :func:`_online_blockwise` in tiles
+    of the frozen ``_SELF_TILE`` (256) rows, only because the README loss
+    and the pinned block outputs freeze its bits.  Every other dtype takes
+    three passes over tiles of ``_BWD_TILE`` (64) rows, the one height its
+    backward walks too.  First it fixes one stabilizer per query row,
+    ``c = scale |q| max|k|`` over the keys of the row's blocks: no logit of
+    the row exceeds it, so ``exp`` cannot overflow, and the row's true max
+    lies within ``2c`` below it.  A row whose ``2c`` would reach ``exp``'s
+    subnormal range takes its exact row max instead.  Then each tile runs
+    GEMM -> ``exp`` -> GEMM on the operands of :func:`_folded`, which carry
+    ``-c`` into the logits and the row sum into the output, so nothing is
+    rescaled along the way.  Last, one division by the row sums.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
@@ -180,7 +184,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
     width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
-    buf = np.empty(min(_SELF_TILE, n) * width, dtype=dt)
+    buf = np.empty(min(_BWD_TILE, n) * width, dtype=dt)
     Qs = Q * scale
     # a norm may overflow, and 0 * inf gives NaN: neither is below the
     # limit, so such rows take the exact route
@@ -197,8 +201,8 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
         for blk in blocks:
             Kt = K[blk.k0 : blk.k1].T
             lo, hi = np.searchsorted(exact, (blk.q0, blk.q1))
-            for t0 in range(lo, hi, _SELF_TILE):
-                ts = slice(t0, min(t0 + _SELF_TILE, hi))
+            for t0 in range(lo, hi, _BWD_TILE):
+                ts = slice(t0, min(t0 + _BWD_TILE, hi))
                 logits = buf[: (ts.stop - t0) * Kt.shape[1]].reshape(ts.stop - t0, -1)
                 np.matmul(Qs[exact[ts]], Kt, out=logits)
                 np.maximum(peak[ts], logits.max(axis=1), out=peak[ts])
@@ -208,8 +212,8 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     acc = np.zeros((n, Vx.shape[1]), dtype=dt)
     for blk in blocks:
         KxT, Vxb = Kx[blk.k0 : blk.k1].T, Vx[blk.k0 : blk.k1]
-        for q0 in range(blk.q0, blk.q1, _SELF_TILE):
-            qs = slice(q0, min(q0 + _SELF_TILE, blk.q1))
+        for q0 in range(blk.q0, blk.q1, _BWD_TILE):
+            qs = slice(q0, min(q0 + _BWD_TILE, blk.q1))
             P = buf[: (qs.stop - q0) * KxT.shape[1]].reshape(qs.stop - q0, -1)
             np.matmul(Qx[qs], KxT, out=P)
             np.exp(P, out=P)

@@ -181,8 +181,25 @@ def _gelu(x):
 
 
 def _gelu_grad(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    """d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2), with
+    t = tanh(c x (1 + a x^2)), computed in place in two temporaries as
+    (1 + t) (0.5 + 0.5 c x (1 + 3a x^2) (1 - t))."""
+    poly = x * x
+    t = poly * _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    np.subtract(1.0, t, out=t)  # 1 - t
+    poly *= 3.0 * _GELU_A
+    poly += 1.0
+    poly *= x
+    poly *= 0.5 * _GELU_C
+    poly *= t
+    poly += 0.5
+    np.subtract(2.0, t, out=t)  # 1 + t
+    poly *= t
+    return poly
 
 
 def _layer_norm(x):
@@ -219,6 +236,8 @@ def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
         raise ValueError(
             f"z_tokens must be ({spec.n_tokens}, {weights.channels}), got {x.shape}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("z_tokens contains non-finite entries")
     if text.ndim != 2 or text.shape[0] != spec.text_len:
         raise ValueError(f"text must have {spec.text_len} rows, got {text.shape}")
     if text.shape[0] and text.shape[1] != weights.ck.shape[1]:
@@ -337,67 +356,98 @@ def plain_block_forward(
 
 def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     """Gradients of a scalar loss w.r.t. every weight array and both inputs,
-    given the loss gradient at the block output."""
+    given the loss gradient at the block output.
+
+    Consumes ``tape``: each step pops its entries and drops them once it is
+    done with them, so the walk back holds only the tape still ahead of it.
+    ``gx`` is the gradient at the residual stream, updated in place past each
+    sub-layer."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
-    text = tape["text"]
+    text = tape.pop("text")
     scale = _default_scale(w.head_dim)
 
     # mlp
-    u3, inv3, h1, act = tape["u3"], tape["inv3"], tape["h1"], tape["act"]
+    u3, inv3, h1, act = (tape.pop(key) for key in ("u3", "inv3", "h1", "act"))
     g["w2"] += act.T @ gy
     g["b2"] += gy.sum(axis=0)
-    gh1 = (gy @ w.w2.T) * _gelu_grad(h1)
+    del act
+    gh1 = gy @ w.w2.T
+    gh1 *= _gelu_grad(h1)
+    del h1
     g["w1"] += u3.T @ gh1
     g["b1"] += gh1.sum(axis=0)
-    gx2 = gy + _layer_norm_bwd(gh1 @ w.w1.T, u3, inv3)
+    gx = gy + _layer_norm_bwd(gh1 @ w.w1.T, u3, inv3)
+    del u3, inv3, gh1
 
     # cross-attention
     gtext = np.zeros_like(text)
+    u2, inv2, cross = tape.pop("u2"), tape.pop("inv2"), tape.pop("cross")
     if text.shape[0] > 0:
-        u2, inv2 = tape["u2"], tape["inv2"]
-        cells, row_patch, levels = patches
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
-            qc, kc, vc, att, a = tape["cross"][h]
-            g["co"][h] += a.T @ gx2
-            ga = gx2 @ w.co[h].T
-            gatt = ga @ vc.T
-            gvc = att.T @ ga
-            glog = att * (gatt - (gatt * att).sum(axis=1, keepdims=True)) * scale
-            gqc = glog @ kc
-            gkc = glog.T @ qc
-            # scaling-matrix path: the term is levels * |pooled kc^T| * r per
-            # patch, pooled = patch mean of qc, and levels is constant on a patch
-            pooled = _patch_sum(qc, spec, cfg.d) / cells
-            sim = pooled @ kc.T
-            gsim = np.sign(sim) * levels * cfg.r * _patch_sum(glog, spec, cfg.d)
-            gkc += gsim.T @ pooled
-            gqc += ((gsim @ kc) / cells)[row_patch]
-
+            gco, gqc, gkc, gvc = _cross_head_bwd(cross.pop(0), w.co[h], gx, spec, cfg, patches, scale)
+            g["co"][h] += gco
             g["cq"][h] += u2.T @ gqc
             g["ck"][h] += text.T @ gkc
             g["cv"][h] += text.T @ gvc
             gu2 += gqc @ w.cq[h].T
             gtext += gkc @ w.ck[h].T + gvc @ w.cv[h].T
-        gx1 = gx2 + _layer_norm_bwd(gu2, u2, inv2)
-    else:
-        gx1 = gx2
+        gx += _layer_norm_bwd(gu2, u2, inv2)
+        del gu2
+    del u2, inv2
 
     # self-attention
     cos, sin = rot
-    u, inv = tape["u"], tape["inv"]
+    u, inv, heads = tape.pop("u"), tape.pop("inv"), tape.pop("self")
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
-        q, k, v, a, lse = tape["self"][h]
-        g["wo"][h] += a.T @ gx1
-        gq, gk, gv = _blockwise_bwd(q, k, v, a, lse, gx1 @ w.wo[h].T, blocks, scale)
+        q, k, v, a, lse = heads.pop(0)
+        g["wo"][h] += a.T @ gx
+        gq, gk, gv = _blockwise_bwd(q, k, v, a, lse, gx @ w.wo[h].T, blocks, scale)
+        del q, k, v, a, lse
         gq, gk = rotate(gq, cos, -sin), rotate(gk, cos, -sin)
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk
         g["wv"][h] += u.T @ gv
         gu += gq @ w.wq[h].T + gk @ w.wk[h].T + gv @ w.wv[h].T
-    gx = gx1 + _layer_norm_bwd(gu, u, inv)
+        del gq, gk, gv
+    gx += _layer_norm_bwd(gu, u, inv)
     return g, gx, gtext
+
+
+def _cross_head_bwd(entry, co, gx, spec, cfg, patches, scale):
+    """One cross-attention head's gradients w.r.t. its output projection
+    ``co`` and its qc, kc and vc, from its tape entry and the gradient ``gx``
+    at the sub-layer's output."""
+    qc, kc, vc, att, a = entry
+    cells, row_patch, levels = patches
+    gco = a.T @ gx
+    ga = gx @ co.T
+    gatt = ga @ vc.T
+    gvc = att.T @ ga
+    glog = att * (gatt - (gatt * att).sum(axis=1, keepdims=True)) * scale
+    del gatt
+    gqc = glog @ kc
+    gkc = glog.T @ qc
+    # scaling-matrix path: the term is levels * |pooled kc^T| * r per patch,
+    # pooled = patch mean of qc, and levels is constant on a patch
+    pooled = _patch_sum(qc, spec, cfg.d) / cells
+    sim = pooled @ kc.T
+    gsim = np.sign(sim) * levels * cfg.r * _patch_sum(glog, spec, cfg.d)
+    gkc += gsim.T @ pooled
+    gqc += ((gsim @ kc) / cells)[row_patch]
+    return gco, gqc, gkc, gvc
+
+
+def _as_target(target, shape):
+    """``target`` as a finite float64 array of the output's ``shape``: numpy
+    would broadcast an (n, 1) target over every channel."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != shape:
+        raise ValueError(f"target must be {shape}, got {target.shape}")
+    if not np.isfinite(target).all():
+        raise ValueError("target contains non-finite entries")
+    return target
 
 
 def _row_loss(y, target, loss_rows):
@@ -431,13 +481,14 @@ def loss_and_gradients(
     default is the full :func:`fm_loss`.
     """
     w, x, text, rot, patches = _prepare(weights, z_tokens, text, spec, cfg, build_mcam(spec), np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    target = _as_target(target, x.shape)
     blocks = build_csam(spec).blocks
     tape: dict = {}
     y = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
     loss, rows, diff = _row_loss(y, target, loss_rows)
     gy = np.zeros_like(y)
     gy[rows] = 2.0 * diff / diff.size
+    del y, diff  # the backward needs neither
     grads, gx, gtext = _backward(w, tape, spec, cfg, rot, blocks, patches, gy)
     return loss, grads, gx, gtext
 
@@ -493,7 +544,7 @@ def grad_check(
     w, x, text, rot, patches = _prepare(
         weights.astype(np.float64), z_tokens, text, spec, cfg, build_mcam(spec), np.float64
     )
-    target = np.asarray(target, dtype=np.float64)
+    target = _as_target(target, x.shape)
     blocks = build_csam(spec).blocks
 
     def taped_loss() -> float:

@@ -289,6 +289,50 @@ def test_loss_rows_must_select_existing_rows(rows):
         loss_and_gradients(weights, x, text, spec, AttnConfig(), np.zeros_like(x), loss_rows=rows)
 
 
+def _small_problem():
+    spec = make_spec(1, 1, 2, bg=1)
+    rng = np.random.default_rng(14)
+    weights = init_weights(rng, channels=6, text_channels=4, dtype=np.float64)
+    x = rng.standard_normal((spec.n_tokens, 6))
+    text = rng.standard_normal((spec.text_len, 4))
+    return spec, weights, x, text
+
+
+def _bad_target(kind, x):
+    if kind == "column":  # would broadcast over every channel
+        return np.zeros((x.shape[0], 1))
+    if kind == "channels":
+        return np.zeros(x.shape[1])
+    if kind == "one-row":
+        return np.zeros((1, x.shape[1]))
+    target = np.zeros_like(x)
+    target[1, 2] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return target
+
+
+@pytest.mark.parametrize("fn", [loss_and_gradients, grad_check])
+@pytest.mark.parametrize("kind", ["column", "channels", "one-row", "nan", "inf", "-inf"])
+def test_bad_target_is_rejected(fn, kind):
+    spec, weights, x, text = _small_problem()
+    shape = kind in ("column", "channels", "one-row")
+    what = r"target must be \(4, 6\)" if shape else "target contains non-finite entries"
+    with pytest.raises(ValueError, match=what):
+        fn(weights, x, text, spec, AttnConfig(), _bad_target(kind, x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_z_tokens_rejected_by_name(setup, bad):
+    spec, weights, x, text = setup
+    x = x.copy()
+    x[-1, 3] = bad
+    with pytest.raises(ValueError, match="z_tokens contains non-finite entries"):
+        block_forward(weights, x, text, spec, AttnConfig())
+    spec, weights, x, text = _small_problem()
+    x[0, 0] = bad
+    with pytest.raises(ValueError, match="z_tokens contains non-finite entries"):
+        loss_and_gradients(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
+
+
 def test_grad_check_multiple_seeds():
     spec = make_spec(1, 2, 2, groups=(1,))
     for seed in range(3):

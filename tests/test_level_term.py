@@ -2,7 +2,6 @@
 against the public dense kernel, the memory it saves, the masks it accepts,
 and the effect of r on the attention mass the paper's claim rests on."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -66,18 +65,12 @@ def test_block_cross_attention_equals_the_dense_kernel(spec, d, r):
             np.testing.assert_array_equal(out, want)
 
 
-def test_long_caption_forward_holds_no_n_by_caption_array():
+def test_long_caption_forward_holds_no_n_by_caption_array(traced_peak_mib):
     spec = make_spec(1, 12, 12, bg=1, objs=2, groups=(1, 1, 1, 1), text_len=2048)
     weights, x, text = _problem(spec, 1)
     csam, mcam = build_csam(spec), build_mcam(spec)
     dense_mib = spec.n_tokens * spec.text_len * 4 / MIB  # one n x L float32 array: 13.5 MiB
-    tracemalloc.start()
-    try:
-        block_forward(weights, x, text, spec, AttnConfig(), csam, mcam)
-        peak = tracemalloc.get_traced_memory()[1] / MIB
-    finally:
-        tracemalloc.stop()
-    assert peak < dense_mib
+    assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig(), csam, mcam) < dense_mib
 
 
 def test_build_mcam_keeps_entity_rows_only():

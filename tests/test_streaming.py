@@ -1,7 +1,6 @@
 """Streaming kernels at sizes that span many row tiles, the block-cover
 overlap sweep, and the memory the plan-cold forward needs."""
 
-import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -22,7 +21,6 @@ from relattn.reference import (
 
 from oracles import attention_oracle
 
-MIB = 1024 * 1024
 ROADMAP_LAYOUT = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1))
 
 
@@ -141,24 +139,15 @@ def test_return_weights_leaves_output_unchanged_across_tiles(bench):
 # --- memory of the plan-cold path --------------------------------------------
 
 
-def _traced_peak_mib(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / MIB
-    finally:
-        tracemalloc.stop()
+def test_build_csam_memory_is_independent_of_n_squared(traced_peak_mib):
+    assert traced_peak_mib(build_csam, ROADMAP_LAYOUT) < 1.0
 
 
-def test_build_csam_memory_is_independent_of_n_squared():
-    assert _traced_peak_mib(build_csam, ROADMAP_LAYOUT) < 1.0
-
-
-def test_block_forward_never_holds_an_n_by_n_array():
+def test_block_forward_never_holds_an_n_by_n_array(traced_peak_mib):
     spec = ROADMAP_LAYOUT
     rng = np.random.default_rng(0)
     weights = init_weights(rng, 16, 12)
     x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
     text = rng.standard_normal((spec.text_len, 12)).astype(np.float32)
     # the dense n x n bool mask alone would be spec.n_tokens**2 bytes = 53.5 MiB
-    assert _traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 32.0
+    assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 32.0

@@ -2,7 +2,6 @@
 the recomputing self-attention backward against dense oracles, on general
 covers and through the block."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +26,6 @@ from oracles import csam_oracle, masked_attention_grads_oracle
 from strategies import layout_specs
 
 ROADMAP_LAYOUT = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1))
-MIB = 1024.0 * 1024.0
 
 
 @st.composite
@@ -110,7 +108,8 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
     # float64 logits carry an absolute error of a few ulps of their size
     size = np.abs(np.where(bits, logits, 0.0)).max(axis=1)
     tol = 1e-12 + 1e-14 * size
-    with mock.patch.object(attention, "_SELF_TILE", tile):
+    # the float64 route walks _BWD_TILE rows in both of its tiled passes
+    with mock.patch.object(attention, "_BWD_TILE", tile):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise(Q, K, V, order, scale)
             assert np.isfinite(out).all() and np.isfinite(lse).all()
@@ -213,27 +212,18 @@ def test_plain_block_is_the_full_cover_without_level_term():
     assert np.abs(moved[spec.n_video_tokens :]).max() > 1e-3
 
 
-def _training_peak_mib(spec) -> float:
-    w, x, text, target = _problem(spec, 0)
-    tracemalloc.start()
-    try:
-        loss_and_gradients(w, x, text, spec, AttnConfig(), target)
-        return tracemalloc.get_traced_memory()[1] / MIB
-    finally:
-        tracemalloc.stop()
-
-
-def test_training_memory_stays_below_dense_weights():
+def test_training_memory_stays_below_dense_weights(traced_peak_mib):
     # the dense taped path held n x n float64 weights per head: 140.6 MiB
     # at n=1872 and about 2.3 GiB on the ROADMAP layout (n=7488); a
     # backward of 256-row tiles with fresh P and dS per tile peaked at 16.3
     # and 77.8 MiB, one of _BWD_TILE rows through two reused buffers at
-    # 11.1 and 43.9 MiB
+    # 11.1 and 43.9 MiB, and one that also drops each tape entry once used,
+    # after a float64 forward of _BWD_TILE rows, at 6.0 and 23.9 MiB
+    def peak(spec):
+        w, x, text, target = _problem(spec, 0)
+        return traced_peak_mib(loss_and_gradients, w, x, text, spec, AttnConfig(), target)
+
     assert bench_layout().n_tokens == 1872
-    peak = _training_peak_mib(bench_layout())
-    assert peak < 32.0
-    assert peak < 14.0
+    assert peak(bench_layout()) < 8.0
     assert ROADMAP_LAYOUT.n_tokens == 7488
-    peak = _training_peak_mib(ROADMAP_LAYOUT)
-    assert peak < 128.0
-    assert peak < 64.0
+    assert peak(ROADMAP_LAYOUT) < 32.0
