@@ -265,15 +265,16 @@ def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
     The FlashAttention backward: walks the same cover in query tiles and
     recomputes each tile's weights P = exp(Q K^T scale - lse) instead of
     keeping them; with D = rowsum(g * out) the gradient of Q K^T is
-    P * (g V^T - D) * scale, and ``scale`` is folded into Q and K here.
-    Both subtractions ride in the GEMMs: ``-lse`` through the operands of
-    :func:`_folded`, which the float64 forward shares, and ``-D`` as one
-    more column of ``g`` against the ones on V.  P and its gradient dS live
-    in two buffers of ``_BWD_TILE`` rows reused by every tile."""
+    P * (g V^T - D) * scale: ``scale`` rides on Q into dK, and dQ takes it
+    once at the end.  Both subtractions ride in the GEMMs: ``-lse`` through
+    the operands of :func:`_folded`, which the float64 forward shares, and
+    ``-D`` as one more column of ``g`` against the ones on V; Q scale is
+    read as a view of its operand.  P and its gradient dS live in two
+    buffers of ``_BWD_TILE`` rows reused by every tile."""
     n, dt = Q.shape[0], Q.dtype
     dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
-    Qs, Ks = Q * scale, K * scale
-    Qx, Kx, Vx = _folded(Qs, K, V, lse)
+    Qx, Kx, Vx = _folded(Q * scale, K, V, lse)
+    Qs = Qx[:, :-1]
     gx = np.hstack([g, -(g * out).sum(axis=1, keepdims=True)])
     width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
     size = min(_BWD_TILE, n) * width
@@ -293,8 +294,9 @@ def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
             dV[ks] += (g[qs].T @ P).T
             np.matmul(gx[qs], VxT, out=dS)
             dS *= P
-            dQ[qs] += dS @ Ks[ks]
+            dQ[qs] += dS @ K[ks]
             dK[ks] += (Qs[qs].T @ dS).T
+    dQ *= scale
     return dQ, dK, dV
 
 

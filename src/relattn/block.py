@@ -177,7 +177,18 @@ _GELU_A = 0.044715
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
+    """0.5 x (1 + tanh(c (x + a x^3))) through two buffers, in the operation
+    order of that expression, so its bits match the closed form's."""
+    t = x * _GELU_A
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    out = x * 0.5
+    out *= t
+    return out
 
 
 def _gelu_grad(x):
@@ -210,7 +221,14 @@ def _layer_norm(x):
 
 
 def _layer_norm_bwd(gy, y, inv):
-    return inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
+    """inv (gy - mean(gy) - y mean(gy y)) per row, written over ``gy``."""
+    t = gy * y
+    m = t.mean(axis=1, keepdims=True)
+    gy -= gy.mean(axis=1, keepdims=True)
+    np.multiply(y, m, out=t)
+    gy -= t
+    gy *= inv
+    return gy
 
 
 # ---------------------------------------------------------------------------
@@ -253,29 +271,36 @@ def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
     return w, x, text, rot, (cells, row_patch, levels)
 
 
+def _self_qkv(w: BlockWeights, h, u, rot):
+    """Head ``h``'s rotated self-attention queries and keys, and its values."""
+    cos, sin = rot
+    return rotate(u @ w.wq[h], cos, sin), rotate(u @ w.wk[h], cos, sin), u @ w.wv[h]
+
+
 def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=None):
     """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
     sub-layer added back to its input.
 
     Self-attention streams over the block cover ``blocks``; cross-attention
     reads its level term from a table with one row per d x d patch, and the
-    video rows, whose level is zero, skip it.  A ``tape`` dict records every
-    intermediate :func:`_backward` needs: per head the self-attention inputs,
-    output and row log-sum-exp, and the dense cross-attention weights.
+    video rows, whose level is zero, skip it.  A ``tape`` dict records what
+    :func:`_backward` cannot cheaply rebuild: the normalized inputs ``u``,
+    ``u2``, ``u3`` with their ``inv`` scales, the MLP's pre-activation ``h1``
+    and ``text``; per head the self-attention output and row log-sum-exp;
+    and per head the cross-attention keys, values and dense weights.  The
+    projections, the GELU and the cross-attention outputs are rebuilt from
+    these by the same operations, so they come out bit-identical.
     """
-    cos, sin = rot
     u, inv = _layer_norm(x)
     sa = np.zeros_like(x)
     self_tape = []
     for h in range(w.n_heads):
-        q = rotate(u @ w.wq[h], cos, sin)
-        k = rotate(u @ w.wk[h], cos, sin)
-        v = u @ w.wv[h]
-        a, lse = _blockwise(q, k, v, blocks)
+        a, lse = _blockwise(*_self_qkv(w, h, u, rot), blocks)
         if tape is not None:
-            self_tape.append((q, k, v, a, lse))
+            self_tape.append((a, lse))
         sa += a @ w.wo[h]
-    x1 = x + sa
+    sa += x  # x + sa, bit for bit
+    x1 = sa
 
     cross_tape = []
     if text.shape[0] > 0:
@@ -295,21 +320,24 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
                 a = _attend(qc, kc, vc, scale, False, level_term)
             else:
                 a, att = _attend(qc, kc, vc, scale, True, level_term)
-                cross_tape.append((qc, kc, vc, att, a))
+                cross_tape.append((kc, vc, att))
             ca += a @ w.co[h]
-        x2 = x1 + ca
+        ca += x1
+        x2 = ca
     else:
         u2 = inv2 = None
         x2 = x1
 
     u3, inv3 = _layer_norm(x2)
-    h1 = u3 @ w.w1 + w.b1
-    act = _gelu(h1)
-    y = x2 + act @ w.w2 + w.b2
+    h1 = u3 @ w.w1
+    h1 += w.b1
+    y = _gelu(h1) @ w.w2
+    y += x2
+    y += w.b2
     if tape is not None:
         tape.update(
             text=text, u=u, inv=inv, self=self_tape, u2=u2, inv2=inv2,
-            cross=cross_tape, u3=u3, inv3=inv3, h1=h1, act=act,
+            cross=cross_tape, u3=u3, inv3=inv3, h1=h1,
         )
     return y
 
@@ -358,25 +386,29 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     """Gradients of a scalar loss w.r.t. every weight array and both inputs,
     given the loss gradient at the block output.
 
+    Rebuilds what :func:`_forward` left off its tape by the forward's own
+    operations: the GELU activation from ``h1``, each cross-attention head's
+    queries from ``u2`` and its output from its weights, and each
+    self-attention head's rotated queries, keys and values from ``u``.
     Consumes ``tape``: each step pops its entries and drops them once it is
     done with them, so the walk back holds only the tape still ahead of it.
-    ``gx`` is the gradient at the residual stream, updated in place past each
-    sub-layer."""
+    ``gy`` becomes ``gx``, the gradient at the residual stream, updated in
+    place past each sub-layer."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
     text = tape.pop("text")
     scale = _default_scale(w.head_dim)
 
     # mlp
-    u3, inv3, h1, act = (tape.pop(key) for key in ("u3", "inv3", "h1", "act"))
-    g["w2"] += act.T @ gy
+    u3, inv3, h1 = (tape.pop(key) for key in ("u3", "inv3", "h1"))
+    g["w2"] += _gelu(h1).T @ gy
     g["b2"] += gy.sum(axis=0)
-    del act
     gh1 = gy @ w.w2.T
     gh1 *= _gelu_grad(h1)
     del h1
     g["w1"] += u3.T @ gh1
     g["b1"] += gh1.sum(axis=0)
-    gx = gy + _layer_norm_bwd(gh1 @ w.w1.T, u3, inv3)
+    gx = gy
+    gx += _layer_norm_bwd(gh1 @ w.w1.T, u3, inv3)
     del u3, inv3, gh1
 
     # cross-attention
@@ -385,7 +417,9 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     if text.shape[0] > 0:
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
-            gco, gqc, gkc, gvc = _cross_head_bwd(cross.pop(0), w.co[h], gx, spec, cfg, patches, scale)
+            gco, gqc, gkc, gvc = _cross_head_bwd(
+                u2 @ w.cq[h], *cross.pop(0), w.co[h], gx, spec, cfg, patches, scale
+            )
             g["co"][h] += gco
             g["cq"][h] += u2.T @ gqc
             g["ck"][h] += text.T @ gkc
@@ -401,8 +435,9 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     u, inv, heads = tape.pop("u"), tape.pop("inv"), tape.pop("self")
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
-        q, k, v, a, lse = heads.pop(0)
+        a, lse = heads.pop(0)
         g["wo"][h] += a.T @ gx
+        q, k, v = _self_qkv(w, h, u, rot)
         gq, gk, gv = _blockwise_bwd(q, k, v, a, lse, gx @ w.wo[h].T, blocks, scale)
         del q, k, v, a, lse
         gq, gk = rotate(gq, cos, -sin), rotate(gk, cos, -sin)
@@ -415,13 +450,12 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     return g, gx, gtext
 
 
-def _cross_head_bwd(entry, co, gx, spec, cfg, patches, scale):
+def _cross_head_bwd(qc, kc, vc, att, co, gx, spec, cfg, patches, scale):
     """One cross-attention head's gradients w.r.t. its output projection
-    ``co`` and its qc, kc and vc, from its tape entry and the gradient ``gx``
-    at the sub-layer's output."""
-    qc, kc, vc, att, a = entry
+    ``co`` and its qc, kc and vc, from its queries, keys, values and dense
+    weights ``att`` and the gradient ``gx`` at the sub-layer's output."""
     cells, row_patch, levels = patches
-    gco = a.T @ gx
+    gco = (att @ vc).T @ gx
     ga = gx @ co.T
     gatt = ga @ vc.T
     gvc = att.T @ ga
@@ -452,9 +486,12 @@ def _as_target(target, shape):
 
 def _row_loss(y, target, loss_rows):
     """Mean squared error over ``loss_rows`` (all rows when None), with the
-    rows and their differences for the output gradient."""
+    rows (None for all) and their differences for the output gradient."""
+    if loss_rows is None:
+        diff = y - target
+        return float(np.mean(diff * diff)), None, diff
     n = y.shape[0]
-    rows = np.arange(n) if loss_rows is None else np.asarray(loss_rows)
+    rows = np.asarray(loss_rows)
     # an empty selection would average nothing into NaN, numpy indexing
     # would wrap a negative row to the end, and the output gradient keeps
     # one copy of a repeated row where the loss counts each
@@ -486,9 +523,14 @@ def loss_and_gradients(
     tape: dict = {}
     y = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
     loss, rows, diff = _row_loss(y, target, loss_rows)
-    gy = np.zeros_like(y)
-    gy[rows] = 2.0 * diff / diff.size
-    del y, diff  # the backward needs neither
+    del y  # the backward does not need it
+    diff *= 2.0
+    diff /= diff.size  # 2 diff / diff.size, the gradient of the mean
+    if rows is None:
+        gy = diff
+    else:
+        gy = np.zeros_like(x)
+        gy[rows] = diff
     grads, gx, gtext = _backward(w, tape, spec, cfg, rot, blocks, patches, gy)
     return loss, grads, gx, gtext
 
@@ -544,6 +586,9 @@ def grad_check(
     w, x, text, rot, patches = _prepare(
         weights.astype(np.float64), z_tokens, text, spec, cfg, build_mcam(spec), np.float64
     )
+    # the steps below perturb x and text in place: _prepare's asarray may
+    # have handed back the caller's own arrays
+    x, text = x.copy(), text.copy()
     target = _as_target(target, x.shape)
     blocks = build_csam(spec).blocks
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,8 @@ from relattn.attention import AttnConfig
 from relattn.block import (
     BlockWeights,
     FlowSample,
+    _gelu,
+    _layer_norm_bwd,
     block_forward,
     demo_fit,
     flow_interpolate,
@@ -331,6 +335,67 @@ def test_non_finite_z_tokens_rejected_by_name(setup, bad):
     x[0, 0] = bad
     with pytest.raises(ValueError, match="z_tokens contains non-finite entries"):
         loss_and_gradients(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
+
+
+@pytest.mark.parametrize(
+    "entry", ["block_forward32", "block_forward64", "plain_block_forward", "loss_and_gradients", "grad_check"]
+)
+def test_entry_points_leave_their_inputs_unchanged(entry):
+    # read-only inputs make a stray in-place write raise instead of
+    # corrupting the caller's arrays; the copies catch any other change
+    spec = make_spec(1, 2, 3, bg=1, groups=(1,))
+    rng = np.random.default_rng(15)
+    dtype = np.float32 if entry == "block_forward32" else np.float64
+    weights = init_weights(rng, channels=6, text_channels=4, hidden=8, dtype=dtype)
+    x = rng.standard_normal((spec.n_tokens, 6)).astype(dtype)
+    text = rng.standard_normal((spec.text_len, 4)).astype(dtype)
+    target = rng.standard_normal(x.shape)
+    inputs = {"z_tokens": x, "text": text, "target": target, **weights.arrays()}
+    before = {name: arr.copy() for name, arr in inputs.items()}
+    for arr in inputs.values():
+        arr.flags.writeable = False
+    cfg = AttnConfig(d=2)
+    if entry.startswith("block_forward"):
+        block_forward(weights, x, text, spec, cfg)
+    elif entry == "plain_block_forward":
+        plain_block_forward(weights, x, text, spec, cfg)
+    elif entry == "loss_and_gradients":
+        loss_and_gradients(weights, x, text, spec, cfg, target)
+        loss_and_gradients(weights, x, text, spec, cfg, target, loss_rows=np.array([0, 3]))
+    else:
+        for name in ("z_tokens", "text", "w1"):
+            report = grad_check(
+                weights, x, text, spec, cfg, target, max_coords=4, arrays=[name], check_inputs=True
+            )
+            assert report.max_rel_error <= 1e-3
+    for name, arr in inputs.items():
+        assert arr.tobytes() == before[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_is_the_closed_form_bit_for_bit(dtype):
+    rng = np.random.default_rng(16)
+    x = np.concatenate([
+        np.zeros(16),
+        -np.abs(rng.standard_normal(1024)),
+        rng.standard_normal(1024) * 3.0,
+        rng.uniform(-1e4, 1e4, 1024),
+        [1e4, -1e4, 1e-30, -1e-30],
+    ]).astype(dtype).reshape(-1, 4)
+    keep = x.copy()
+    want = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+    got = _gelu(x)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert x.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_backward_is_the_closed_form_bit_for_bit(dtype):
+    rng = np.random.default_rng(17)
+    gy, y = (rng.standard_normal((64, 12)).astype(dtype) for _ in range(2))
+    inv = rng.uniform(0.5, 2.0, (64, 1)).astype(dtype)
+    want = inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
+    assert _layer_norm_bwd(gy.copy(), y, inv).tobytes() == want.tobytes()
 
 
 def test_grad_check_multiple_seeds():
