@@ -90,7 +90,7 @@ def _attend(Q, K, V, scale, return_weights, level_term=None):
     else:
         table, index, first = level_term
         dt = np.result_type(Q, K, table)
-        term = np.empty((min(_CROSS_TILE, n), L), dtype=table.dtype)
+        term = np.empty((min(_CROSS_TILE, n - first), L), dtype=table.dtype)  # rows >= first only
     out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
     weights = np.empty((n if return_weights else min(_CROSS_TILE, n), L), dtype=dt)
     sc = dt.type(scale)
@@ -144,10 +144,11 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
 
     The result matches the dense masked kernel for any block visit order.
     Each block is walked in query-row tiles through one reused logits
-    buffer, so memory stays O(tile x widest block) whatever the sequence
-    length.  float32 inputs keep a running max and normalizer per query row
-    (online softmax); other dtypes fix each row's softmax stabilizer before
-    the walk (see :func:`_blockwise`).
+    buffer the size of the cover's largest tile, min(tile, block rows) x
+    block width, so memory stays O(tile x widest block) whatever the
+    sequence length.  float32 inputs keep a running max and normalizer per
+    query row (online softmax); other dtypes fix each row's softmax
+    stabilizer before the walk (see :func:`_blockwise`).
     """
     return _blockwise(Q, K, V, blocks, scale)[0]
 
@@ -183,8 +184,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
         return _online_blockwise(Q, K, V, blocks, scale)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
-    width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
-    buf = np.empty(min(_BWD_TILE, n) * width, dtype=dt)
+    buf = np.empty(_tile_size(blocks, _BWD_TILE), dtype=dt)
     Qs = Q * scale
     # a norm may overflow, and 0 * inf gives NaN: neither is below the
     # limit, so such rows take the exact route
@@ -229,8 +229,7 @@ def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
     running_max = np.full(n, -np.inf, dtype=dt)
     normalizer = np.zeros(n, dtype=dt)
     acc = np.zeros((n, V.shape[1]), dtype=dt)
-    width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
-    buf = np.empty(min(_SELF_TILE, n) * width, dtype=np.result_type(Q, K))
+    buf = np.empty(_tile_size(blocks, _SELF_TILE), dtype=np.result_type(Q, K))
     for blk in blocks:
         Kt, Vb = K[blk.k0 : blk.k1].T, V[blk.k0 : blk.k1]
         for q0 in range(blk.q0, blk.q1, _SELF_TILE):
@@ -247,7 +246,14 @@ def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
             acc[qs] += logits @ Vb
             normalizer[qs] = normalizer[qs] * carry + logits.sum(axis=1)
             running_max[qs] = new_max
-    return acc / normalizer[:, None], running_max + np.log(normalizer)
+    acc /= normalizer[:, None]
+    return acc, running_max + np.log(normalizer)
+
+
+def _tile_size(blocks: Sequence[Block], tile: int) -> int:
+    """Elements of the largest tile a walk of ``blocks`` in ``tile``-row
+    query tiles fills: no block's tile is taller than the block."""
+    return max((min(tile, blk.q1 - blk.q0) * (blk.k1 - blk.k0) for blk in blocks), default=0)
 
 
 def _folded(Qs, K, V, shift):
@@ -270,14 +276,14 @@ def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
     the operands of :func:`_folded`, which the float64 forward shares, and
     ``-D`` as one more column of ``g`` against the ones on V; Q scale is
     read as a view of its operand.  P and its gradient dS live in two
-    buffers of ``_BWD_TILE`` rows reused by every tile."""
-    n, dt = Q.shape[0], Q.dtype
+    buffers, each the size of the largest ``_BWD_TILE``-row tile of the
+    cover, reused by every tile."""
+    dt = Q.dtype
     dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
     Qx, Kx, Vx = _folded(Q * scale, K, V, lse)
     Qs = Qx[:, :-1]
     gx = np.hstack([g, -(g * out).sum(axis=1, keepdims=True)])
-    width = max((blk.k1 - blk.k0 for blk in blocks), default=0)
-    size = min(_BWD_TILE, n) * width
+    size = _tile_size(blocks, _BWD_TILE)
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
     for blk in blocks:
         ks = slice(blk.k0, blk.k1)

@@ -176,9 +176,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu(x):
+def _gelu(x, out=None):
     """0.5 x (1 + tanh(c (x + a x^3))) through two buffers, in the operation
-    order of that expression, so its bits match the closed form's."""
+    order of that expression, so its bits match the closed form's.  ``out``
+    (which may be ``x`` itself) takes the result in place of a new array."""
     t = x * _GELU_A
     t *= x
     t *= x
@@ -186,7 +187,7 @@ def _gelu(x):
     t *= _GELU_C
     np.tanh(t, out=t)
     t += 1.0
-    out = x * 0.5
+    out = np.multiply(x, 0.5, out=out)
     out *= t
     return out
 
@@ -289,7 +290,9 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     and ``text``; per head the self-attention output and row log-sum-exp;
     and per head the cross-attention keys, values and dense weights.  The
     projections, the GELU and the cross-attention outputs are rebuilt from
-    these by the same operations, so they come out bit-identical.
+    these by the same operations, so they come out bit-identical.  Each
+    sub-layer's activations go onto the tape as it ends and the forward
+    drops them; without a tape the GELU also overwrites ``h1``.
     """
     u, inv = _layer_norm(x)
     sa = np.zeros_like(x)
@@ -299,6 +302,10 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
         if tape is not None:
             self_tape.append((a, lse))
         sa += a @ w.wo[h]
+        del a, lse
+    if tape is not None:
+        tape.update(text=text, u=u, inv=inv, self=self_tape)
+    del u, inv, self_tape
     sa += x  # x + sa, bit for bit
     x1 = sa
 
@@ -327,18 +334,20 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     else:
         u2 = inv2 = None
         x2 = x1
+    if tape is not None:
+        tape.update(u2=u2, inv2=inv2, cross=cross_tape)
+    del u2, inv2, cross_tape, sa, x1
 
     u3, inv3 = _layer_norm(x2)
     h1 = u3 @ w.w1
     h1 += w.b1
-    y = _gelu(h1) @ w.w2
+    if tape is not None:
+        tape.update(u3=u3, inv3=inv3, h1=h1)
+    del u3, inv3
+    # untaped, nothing reads h1 again, so the GELU overwrites it
+    y = _gelu(h1, out=h1 if tape is None else None) @ w.w2
     y += x2
     y += w.b2
-    if tape is not None:
-        tape.update(
-            text=text, u=u, inv=inv, self=self_tape, u2=u2, inv2=inv2,
-            cross=cross_tape, u3=u3, inv3=inv3, h1=h1,
-        )
     return y
 
 

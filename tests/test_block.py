@@ -387,6 +387,8 @@ def test_gelu_is_the_closed_form_bit_for_bit(dtype):
     got = _gelu(x)
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
     assert x.tobytes() == keep.tobytes()
+    # in place, as the untaped forward runs it over the MLP pre-activation
+    assert _gelu(x, out=x) is x and x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -149,5 +149,43 @@ def test_block_forward_never_holds_an_n_by_n_array(traced_peak_mib):
     weights = init_weights(rng, 16, 12)
     x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
     text = rng.standard_normal((spec.text_len, 12)).astype(np.float32)
-    # the dense n x n bool mask alone would be spec.n_tokens**2 bytes = 53.5 MiB
-    assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 32.0
+    # the dense n x n bool mask alone would be spec.n_tokens**2 bytes = 53.5 MiB;
+    # a forward holding one tile of min(256, block rows) x block width peaks at 9.6
+    assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 16.0
+
+
+def test_block_forward_of_many_small_branches_holds_no_full_height_tile(traced_peak_mib):
+    # 48 video rows and 7 condition branches of 48-144 rows: with a tile of
+    # 256 rows over the widest block, whatever the block's height, it took 0.86 MiB
+    spec = make_spec(1, 6, 8, bg=1, objs=3, groups=(2, 2, 1))
+    assert (spec.n_tokens, spec.n_video_tokens) == (624, 48)
+    rng = np.random.default_rng(0)
+    weights = init_weights(rng, 16, 12)
+    x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
+    text = rng.standard_normal((spec.text_len, 12)).astype(np.float32)
+    assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 0.5
+
+
+def _short_wide_cover(n, height):
+    """Blocks ``height`` rows tall and as wide as the sequence."""
+    return [Block(q, min(q + height, n), 0, n) for q in range(0, n, height)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blockwise_tiles_are_no_taller_than_their_blocks(traced_peak_mib, dtype):
+    n = 1024
+    cover = _short_wide_cover(n, 6)
+    Q, K, V = (rnd((n, 2), seed, dtype) for seed in (21, 22, 23))
+    tile = attention._SELF_TILE if dtype == np.float32 else attention._BWD_TILE
+    full_tile_mib = tile * n * np.dtype(dtype).itemsize / 2**20
+    assert traced_peak_mib(masked_self_attention_blockwise, Q, K, V, cover) < full_tile_mib
+
+
+def test_blockwise_backward_tiles_are_no_taller_than_their_blocks(traced_peak_mib):
+    n = 1024
+    cover = _short_wide_cover(n, 6)
+    Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (24, 25, 26, 27))
+    out, lse = attention._blockwise(Q, K, V, cover, 0.5)
+    full_tile_mib = attention._BWD_TILE * n * 8 / 2**20
+    peak = traced_peak_mib(attention._blockwise_bwd, Q, K, V, out, lse, g, cover, 0.5)
+    assert peak < full_tile_mib

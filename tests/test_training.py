@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 from relattn import attention
 from relattn.attention import AttnConfig, _blockwise, _blockwise_bwd
 from relattn.block import (
+    _forward,
+    _prepare,
     block_forward,
     fm_loss,
     grad_check,
@@ -19,7 +21,7 @@ from relattn.block import (
     plain_block_forward,
 )
 from relattn.corpus import bench_layout, corpus_layout, make_spec
-from relattn.masks import Block, CsamMask, build_csam
+from relattn.masks import Block, CsamMask, build_csam, build_mcam
 from relattn.reference import decompose_blocks, masked_self_attention_naive
 
 from oracles import csam_oracle, masked_attention_grads_oracle
@@ -192,6 +194,22 @@ def test_training_loss_is_the_float64_forward_loss():
         cfg = AttnConfig()
         loss = loss_and_gradients(w, x, text, spec, cfg, target)[0]
         assert loss == fm_loss(block_forward(w, x, text, spec, cfg), target)
+
+
+@pytest.mark.parametrize(
+    "spec", [corpus_layout("showcase"), bench_layout(), make_spec(1, 2, 2, objs=1, no_spans=True)]
+)
+def test_taping_leaves_the_forward_output_unchanged(spec):
+    cfg = AttnConfig()
+    w, x, text, _ = _problem(spec, 6)
+    w, x, text, rot, patches = _prepare(w, x, text, spec, cfg, build_mcam(spec), np.float64)
+    blocks = build_csam(spec).blocks
+    tape: dict = {}
+    taped = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
+    assert taped.tobytes() == _forward(w, x, text, spec, cfg, rot, blocks, patches).tobytes()
+    assert set(tape) == {"text", "u", "inv", "self", "u2", "inv2", "cross", "u3", "inv3", "h1"}
+    # the taped MLP pre-activation is not overwritten by its GELU
+    assert np.array_equal(tape["h1"], tape["u3"] @ w.w1 + w.b1)
 
 
 def test_plain_block_is_the_full_cover_without_level_term():
