@@ -1,13 +1,15 @@
 """Attention kernels the block runs: a block-streaming masked kernel and its
 recomputing backward, and the pieces of relational cross-attention (a tiled
-softmax with the level term added per row, and a query-key similarity
-estimate pooled per d x d patch).  The dense reference kernels these are
-tested against live in :mod:`relattn.reference`.
+softmax with the level term added per row that also returns each row's
+log-sum-exp, and a query-key similarity estimate pooled per d x d patch).
+The dense reference kernels these are tested against live in
+:mod:`relattn.reference`.
 
 The streaming kernel keeps an online softmax for float32, whose output bits
 the README loss pins.  Other dtypes fix each query row's softmax stabilizer
 before the walk and share the backward's augmented GEMM operands and its
-tile height.
+2-D tiles of ``_BWD_TILE`` rows x at most ``_KEY_TILE`` keys, so no float64
+buffer grows with the width of a block.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -33,7 +35,7 @@ from .masks import Block
 # pinned by the README loss, moved at n=7488 for heights of 16-128 rows.
 _SELF_TILE = 256
 _CROSS_TILE = 128
-# Every other dtype walks one height in both directions, the forward's
+# Every other dtype walks one tile shape in both directions, the forward's
 # single buffer and the backward's two (P and dS).  At 64 rows and 1872
 # keys a float64 buffer takes 0.9 MB, and the backward's pair fits a 2 MiB
 # L2 where 256 rows take 7.7 MB.  Median ms of one head's backward (1
@@ -42,7 +44,17 @@ _CROSS_TILE = 128
 #   ROADMAP layout, n=7488:  123-148 / 129-140 / 113-128 / 117-128 /
 #                            116-138 / 146 / 159-166
 # and of one head's forward at n=7488, 64 rows ran in 50-54 ms, 256 in 57-62.
+# A tile also spans at most _KEY_TILE keys, so a buffer holds at most
+# 64 x 512 float64 (256 KiB) however wide its block: the video rows of the
+# ROADMAP layout see all 7488 keys.  Median ms of one head at 64 rows (1
+# thread, AMD EPYC, 2 MiB L2 per core) by key chunk, for 128/256/512/1024/
+# whole block:
+#   n=1872, forward:   1.55 / 1.30 / 1.18 / 1.16 / 1.25
+#           backward:  2.96 / 2.39 / 2.20 / 2.25 / 2.26
+#   n=7488, forward:  19.9 / 17.0 / 16.6 / 16.2 / 17.8
+#           backward: 39.0 / 31.5 / 30.7 / 29.8 / 33.3
 _BWD_TILE = 64
+_KEY_TILE = 512
 
 
 @dataclass(frozen=True)
@@ -75,14 +87,15 @@ def _default_scale(k_cols: int) -> float:
     return 1.0 / math.sqrt(k_cols)
 
 
-def _attend(Q, K, V, scale, return_weights, level_term=None):
-    """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization.
+def _attend(Q, K, V, scale, level_term=None):
+    """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
+    and each query row's log-sum-exp of its scaled logits, from which the
+    training backward recomputes the weights.
 
     ``level_term=(table, index, first)`` adds ``table[index[i]]``, the
     relational levels * s * r stored once per distinct row, to every query
     row ``i >= first``; earlier rows have all-zero levels and skip it.
-    Queries run in row tiles through one reused logits buffer (or the
-    returned weights), so both ``return_weights`` paths run the same arithmetic.
+    Queries run in row tiles through one reused logits buffer.
     """
     n, L = Q.shape[0], K.shape[0]
     if level_term is None:
@@ -92,13 +105,13 @@ def _attend(Q, K, V, scale, return_weights, level_term=None):
         dt = np.result_type(Q, K, table)
         term = np.empty((min(_CROSS_TILE, n - first), L), dtype=table.dtype)  # rows >= first only
     out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
-    weights = np.empty((n if return_weights else min(_CROSS_TILE, n), L), dtype=dt)
+    peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
+    buf = np.empty((min(_CROSS_TILE, n), L), dtype=dt)
     sc = dt.type(scale)
     Kt = K.T
     for q0 in range(0, n, _CROSS_TILE):
         rows = slice(q0, min(q0 + _CROSS_TILE, n))
-        m = rows.stop - q0
-        logits = weights[rows] if return_weights else weights[:m]
+        logits = buf[: rows.stop - q0]
         np.matmul(Q[rows], Kt, out=logits)
         lo = max(q0, first)
         if lo < rows.stop:
@@ -106,11 +119,16 @@ def _attend(Q, K, V, scale, return_weights, level_term=None):
             np.take(table, index[lo : rows.stop], axis=0, out=t, mode="clip")
             logits[lo - q0 :] += t
         logits *= sc
-        logits -= logits.max(axis=1, keepdims=True)
+        row_max = logits.max(axis=1, keepdims=True)
+        logits -= row_max
         np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
+        row_sum = logits.sum(axis=1, keepdims=True)
+        logits /= row_sum
         np.matmul(logits, V, out=out[rows])
-    return (out, weights) if return_weights else out
+        peak[rows], total[rows] = row_max[:, 0], row_sum[:, 0]
+    np.log(total, out=total)
+    total += peak  # the log-sum-exp
+    return out, total
 
 
 def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
@@ -160,15 +178,17 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     float32 runs the online softmax of :func:`_online_blockwise` in tiles
     of the frozen ``_SELF_TILE`` (256) rows, only because the README loss
     and the pinned block outputs freeze its bits.  Every other dtype takes
-    three passes over tiles of ``_BWD_TILE`` (64) rows, the one height its
-    backward walks too.  First it fixes one stabilizer per query row,
-    ``c = scale |q| max|k|`` over the keys of the row's blocks: no logit of
-    the row exceeds it, so ``exp`` cannot overflow, and the row's true max
-    lies within ``2c`` below it.  A row whose ``2c`` would reach ``exp``'s
-    subnormal range takes its exact row max instead.  Then each tile runs
-    GEMM -> ``exp`` -> GEMM on the operands of :func:`_folded`, which carry
-    ``-c`` into the logits and the row sum into the output, so nothing is
-    rescaled along the way.  Last, one division by the row sums.
+    three passes over the tiles of :func:`_tiles`, ``_BWD_TILE`` (64) rows
+    by at most ``_KEY_TILE`` (512) keys, the tiles its backward walks too.
+    First it fixes one stabilizer per query row, ``c = scale |q| max|k|``
+    over the keys of the row's blocks: no logit of the row exceeds it, so
+    ``exp`` cannot overflow, and the row's true max lies within ``2c``
+    below it.  A row whose ``2c`` would reach ``exp``'s subnormal range
+    takes its exact row max instead.  Then each tile runs GEMM -> ``exp``
+    -> GEMM on the operands of :func:`_folded`, which carry ``-c`` into the
+    logits and the row sum into the output, so nothing is rescaled along
+    the way, however a row's keys are split.  Last, one division by the
+    row sums.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
@@ -184,7 +204,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
         return _online_blockwise(Q, K, V, blocks, scale)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
-    buf = np.empty(_tile_size(blocks, _BWD_TILE), dtype=dt)
+    buf = np.empty(_tile_size(blocks, _BWD_TILE, _KEY_TILE), dtype=dt)
     Qs = Q * scale
     # a norm may overflow, and 0 * inf gives NaN: neither is below the
     # limit, so such rows take the exact route
@@ -199,25 +219,21 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     if exact.size:
         peak = np.full(exact.size, -np.inf, dtype=dt)
         for blk in blocks:
-            Kt = K[blk.k0 : blk.k1].T
             lo, hi = np.searchsorted(exact, (blk.q0, blk.q1))
-            for t0 in range(lo, hi, _BWD_TILE):
-                ts = slice(t0, min(t0 + _BWD_TILE, hi))
-                logits = buf[: (ts.stop - t0) * Kt.shape[1]].reshape(ts.stop - t0, -1)
-                np.matmul(Qs[exact[ts]], Kt, out=logits)
+            for ts, ks in _tiles(lo, hi, blk.k0, blk.k1):
+                logits = _view(buf, ts, ks)
+                np.matmul(Qs[exact[ts]], K[ks].T, out=logits)
                 np.maximum(peak[ts], logits.max(axis=1), out=peak[ts])
         c[exact] = peak
 
     Qx, Kx, Vx = _folded(Qs, K, V, c)
     acc = np.zeros((n, Vx.shape[1]), dtype=dt)
     for blk in blocks:
-        KxT, Vxb = Kx[blk.k0 : blk.k1].T, Vx[blk.k0 : blk.k1]
-        for q0 in range(blk.q0, blk.q1, _BWD_TILE):
-            qs = slice(q0, min(q0 + _BWD_TILE, blk.q1))
-            P = buf[: (qs.stop - q0) * KxT.shape[1]].reshape(qs.stop - q0, -1)
-            np.matmul(Qx[qs], KxT, out=P)
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1):
+            P = _view(buf, qs, ks)
+            np.matmul(Qx[qs], Kx[ks].T, out=P)
             np.exp(P, out=P)
-            acc[qs] += P @ Vxb
+            acc[qs] += P @ Vx[ks]
     return acc[:, :-1] / acc[:, -1:], c + np.log(acc[:, -1])
 
 
@@ -229,7 +245,7 @@ def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
     running_max = np.full(n, -np.inf, dtype=dt)
     normalizer = np.zeros(n, dtype=dt)
     acc = np.zeros((n, V.shape[1]), dtype=dt)
-    buf = np.empty(_tile_size(blocks, _SELF_TILE), dtype=np.result_type(Q, K))
+    buf = np.empty(_tile_size(blocks, _SELF_TILE, n), dtype=np.result_type(Q, K))
     for blk in blocks:
         Kt, Vb = K[blk.k0 : blk.k1].T, V[blk.k0 : blk.k1]
         for q0 in range(blk.q0, blk.q1, _SELF_TILE):
@@ -250,10 +266,25 @@ def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
     return acc, running_max + np.log(normalizer)
 
 
-def _tile_size(blocks: Sequence[Block], tile: int) -> int:
-    """Elements of the largest tile a walk of ``blocks`` in ``tile``-row
-    query tiles fills: no block's tile is taller than the block."""
-    return max((min(tile, blk.q1 - blk.q0) * (blk.k1 - blk.k0) for blk in blocks), default=0)
+def _tile_size(blocks: Sequence[Block], rows: int, cols: int) -> int:
+    """Elements of the largest tile a walk of ``blocks`` in tiles of at most
+    ``rows`` queries x ``cols`` keys fills: no tile outgrows its block."""
+    return max((min(rows, b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
+
+
+def _tiles(q0: int, q1: int, k0: int, k1: int):
+    """(query slice, key slice) of each ``_BWD_TILE`` x ``_KEY_TILE`` tile
+    of the rectangle [q0, q1) x [k0, k1), key chunks innermost."""
+    for t0 in range(q0, q1, _BWD_TILE):
+        qs = slice(t0, min(t0 + _BWD_TILE, q1))
+        for c0 in range(k0, k1, _KEY_TILE):
+            yield qs, slice(c0, min(c0 + _KEY_TILE, k1))
+
+
+def _view(buf: np.ndarray, qs: slice, ks: slice) -> np.ndarray:
+    """The front of ``buf`` as a (rows of ``qs``) x (keys of ``ks``) matrix."""
+    m, w = qs.stop - qs.start, ks.stop - ks.start
+    return buf[: m * w].reshape(m, w)
 
 
 def _folded(Qs, K, V, shift):
@@ -266,39 +297,40 @@ def _folded(Qs, K, V, shift):
 
 
 def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
-    """Gradients (dQ, dK, dV) of :func:`_blockwise` given ``g`` at its output.
-
-    The FlashAttention backward: walks the same cover in query tiles and
-    recomputes each tile's weights P = exp(Q K^T scale - lse) instead of
-    keeping them; with D = rowsum(g * out) the gradient of Q K^T is
-    P * (g V^T - D) * scale: ``scale`` rides on Q into dK, and dQ takes it
-    once at the end.  Both subtractions ride in the GEMMs: ``-lse`` through
-    the operands of :func:`_folded`, which the float64 forward shares, and
-    ``-D`` as one more column of ``g`` against the ones on V; Q scale is
-    read as a view of its operand.  P and its gradient dS live in two
-    buffers, each the size of the largest ``_BWD_TILE``-row tile of the
-    cover, reused by every tile."""
-    dt = Q.dtype
-    dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
+    """Gradients (dQ, dK, dV) of :func:`_blockwise` given ``g`` at its output:
+    :func:`_folded_bwd` on the operands of :func:`_folded` and ``[g, -D]``
+    with D = rowsum(g * out)."""
     Qx, Kx, Vx = _folded(Q * scale, K, V, lse)
-    Qs = Qx[:, :-1]
     gx = np.hstack([g, -(g * out).sum(axis=1, keepdims=True)])
-    size = _tile_size(blocks, _BWD_TILE)
+    return _folded_bwd(Qx, Kx, Vx, gx, blocks, scale)
+
+
+def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
+    """Gradients (dQ, dK, dV) of :func:`_blockwise` from its folded operands
+    ``Qx = [Q scale, -lse]``, ``Kx = [K, 1]``, ``Vx = [V, 1]`` and
+    ``gx = [g, -D]``, for ``g`` at its output and D = rowsum(g * out).
+
+    The FlashAttention backward: walks the same cover in the forward's
+    2-D tiles and recomputes each tile's weights P = exp(Q K^T scale - lse)
+    instead of keeping them; the gradient of Q K^T is P * (g V^T - D) *
+    scale, and both subtractions ride in the GEMMs.  ``scale`` rides on Q
+    into dK, and dQ takes it once at the end.  P and its gradient dS live
+    in two buffers, each the size of the cover's largest tile, reused by
+    every tile."""
+    dt = Qx.dtype
+    Qs, K, g = Qx[:, :-1], Kx[:, :-1], gx[:, :-1]
+    dQ, dK, dV = np.zeros_like(Qs), np.zeros_like(K), np.zeros_like(g)
+    size = _tile_size(blocks, _BWD_TILE, _KEY_TILE)
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
     for blk in blocks:
-        ks = slice(blk.k0, blk.k1)
-        KxT, VxT = Kx[ks].T, Vx[ks].T
-        for q0 in range(blk.q0, blk.q1, _BWD_TILE):
-            qs = slice(q0, min(q0 + _BWD_TILE, blk.q1))
-            m = qs.stop - q0
-            P = p_buf[: m * KxT.shape[1]].reshape(m, -1)
-            dS = ds_buf[: P.size].reshape(P.shape)
-            np.matmul(Qx[qs], KxT, out=P)
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1):
+            P, dS = _view(p_buf, qs, ks), _view(ds_buf, qs, ks)
+            np.matmul(Qx[qs], Kx[ks].T, out=P)
             np.exp(P, out=P)
             # (g.T @ P).T rather than P.T @ g: the product's rows run along
             # the long key axis, not along the 8-wide value axis
             dV[ks] += (g[qs].T @ P).T
-            np.matmul(gx[qs], VxT, out=dS)
+            np.matmul(gx[qs], Vx[ks].T, out=dS)
             dS *= P
             dQ[qs] += dS @ K[ks]
             dK[ks] += (Qs[qs].T @ dS).T
@@ -324,9 +356,3 @@ def _patch_geometry(spec: LayoutSpec, d: int, dtype) -> tuple[np.ndarray, np.nda
     per_row, frames = -(-spec.W // d), spec.T + spec.n_entities
     in_frame = ((np.arange(spec.H) // d)[:, None] * per_row + np.arange(spec.W) // d).ravel()
     return cells, (np.arange(frames)[:, None] * (len(cells) // frames) + in_frame).ravel()
-
-
-def _pooled_similarity(Q, K_text, spec: LayoutSpec, d: int, cells: np.ndarray) -> np.ndarray:
-    """|pooled Q K_text^T| with one row per d x d patch of every frame, in
-    :func:`_patch_sum` order; ``cells`` holds each patch's token count."""
-    return np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)

@@ -19,17 +19,20 @@ from .attention import (
     AttnConfig,
     _attend,
     _blockwise,
-    _blockwise_bwd,
     _default_scale,
+    _folded_bwd,
     _patch_geometry,
     _patch_sum,
-    _pooled_similarity,
 )
 from .layout import LayoutSpec
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
 from .rotary import default_config, position_array, rotary_table, rotate
 
 _LN_EPS = 1e-6
+# rows per chunk of the MLP backward, which rebuilds the pre-activation
+_MLP_ROWS = 512
+# rows per 0/1 matrix of _add_rows_to_patches
+_PATCH_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +289,14 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     reads its level term from a table with one row per d x d patch, and the
     video rows, whose level is zero, skip it.  A ``tape`` dict records what
     :func:`_backward` cannot cheaply rebuild: the normalized inputs ``u``,
-    ``u2``, ``u3`` with their ``inv`` scales, the MLP's pre-activation ``h1``
-    and ``text``; per head the self-attention output and row log-sum-exp;
-    and per head the cross-attention keys, values and dense weights.  The
-    projections, the GELU and the cross-attention outputs are rebuilt from
-    these by the same operations, so they come out bit-identical.  Each
-    sub-layer's activations go onto the tape as it ends and the forward
-    drops them; without a tape the GELU also overwrites ``h1``.
+    ``u2``, ``u3`` with their ``inv`` scales and ``text``; per head the
+    self-attention output and row log-sum-exp; and per head the
+    cross-attention keys, values and row log-sum-exp.  The projections, the
+    MLP's pre-activation and GELU, and the cross-attention weights and
+    outputs are rebuilt from these.  Nothing on the tape is n x caption
+    length or wider than a head.  Each sub-layer's activations go onto the
+    tape as it ends and the forward drops them, and the GELU overwrites the
+    pre-activation it reads.
     """
     u, inv = _layer_norm(x)
     sa = np.zeros_like(x)
@@ -319,16 +323,13 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
             qc = u2 @ w.cq[h]
             kc = text @ w.ck[h]
             vc = text @ w.cv[h]
-            table = _pooled_similarity(qc, kc, spec, cfg.d, cells)
-            table *= table.dtype.type(cfg.r)
-            table *= levels  # level * (s * r), as the dense kernel's levels * s * r
-            level_term = (table, row_patch, spec.n_video_tokens)
-            if tape is None:
-                a = _attend(qc, kc, vc, scale, False, level_term)
-            else:
-                a, att = _attend(qc, kc, vc, scale, True, level_term)
-                cross_tape.append((kc, vc, att))
+            pooled = _patch_sum(qc, spec, cfg.d) / cells
+            level_term = (_level_table(pooled, kc, cfg, levels), row_patch, spec.n_video_tokens)
+            a, lse = _attend(qc, kc, vc, scale, level_term)
+            if tape is not None:
+                cross_tape.append((kc, vc, lse))
             ca += a @ w.co[h]
+        del qc, kc, vc, pooled, level_term, a, lse
         ca += x1
         x2 = ca
     else:
@@ -342,13 +343,22 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     h1 = u3 @ w.w1
     h1 += w.b1
     if tape is not None:
-        tape.update(u3=u3, inv3=inv3, h1=h1)
+        tape.update(u3=u3, inv3=inv3)
     del u3, inv3
-    # untaped, nothing reads h1 again, so the GELU overwrites it
-    y = _gelu(h1, out=h1 if tape is None else None) @ w.w2
+    y = _gelu(h1, out=h1) @ w.w2
     y += x2
     y += w.b2
     return y
+
+
+def _level_table(pooled, kc, cfg, levels):
+    """The level term of one cross-attention head, one row per d x d patch:
+    levels * |pooled kc^T| * r, for ``pooled`` the patch means of its
+    queries."""
+    table = np.abs(pooled @ kc.T)
+    table *= table.dtype.type(cfg.r)
+    table *= levels  # level * (s * r), as the dense kernel's levels * s * r
+    return table
 
 
 def block_forward(
@@ -396,29 +406,35 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     given the loss gradient at the block output.
 
     Rebuilds what :func:`_forward` left off its tape by the forward's own
-    operations: the GELU activation from ``h1``, each cross-attention head's
-    queries from ``u2`` and its output from its weights, and each
-    self-attention head's rotated queries, keys and values from ``u``.
-    Consumes ``tape``: each step pops its entries and drops them once it is
-    done with them, so the walk back holds only the tape still ahead of it.
-    ``gy`` becomes ``gx``, the gradient at the residual stream, updated in
-    place past each sub-layer."""
+    operations: the MLP's pre-activation and GELU from ``u3``, a chunk of
+    ``_MLP_ROWS`` rows at a time; each cross-attention head's queries from
+    ``u2``, and its weights and output tile by tile from the taped row
+    log-sum-exp (:func:`_cross_head_bwd`); and each self-attention head's
+    rotated queries, keys and values from ``u``, projected straight into
+    the folded operands of :func:`_folded_bwd`.  Consumes ``tape``: each
+    step pops its entries and drops them once it is done with them, so the
+    walk back holds only the tape still ahead of it.  ``gy`` becomes ``gx``,
+    the gradient at the residual stream, updated in place past each
+    sub-layer."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
     text = tape.pop("text")
     scale = _default_scale(w.head_dim)
 
     # mlp
-    u3, inv3, h1 = (tape.pop(key) for key in ("u3", "inv3", "h1"))
-    g["w2"] += _gelu(h1).T @ gy
+    u3, inv3 = tape.pop("u3"), tape.pop("inv3")
     g["b2"] += gy.sum(axis=0)
-    gh1 = gy @ w.w2.T
-    gh1 *= _gelu_grad(h1)
-    del h1
-    g["w1"] += u3.T @ gh1
-    g["b1"] += gh1.sum(axis=0)
+    for r0 in range(0, len(gy), _MLP_ROWS):
+        rows = slice(r0, r0 + _MLP_ROWS)
+        h1 = u3[rows] @ w.w1
+        h1 += w.b1
+        gh1 = gy[rows] @ w.w2.T
+        gh1 *= _gelu_grad(h1)
+        g["w2"] += _gelu(h1, out=h1).T @ gy[rows]
+        g["w1"] += u3[rows].T @ gh1
+        g["b1"] += gh1.sum(axis=0)
+        gy[rows] += _layer_norm_bwd(gh1 @ w.w1.T, u3[rows], inv3[rows])
     gx = gy
-    gx += _layer_norm_bwd(gh1 @ w.w1.T, u3, inv3)
-    del u3, inv3, gh1
+    del u3, inv3, h1, gh1
 
     # cross-attention
     gtext = np.zeros_like(text)
@@ -442,13 +458,24 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     # self-attention
     cos, sin = rot
     u, inv, heads = tape.pop("u"), tape.pop("inv"), tape.pop("self")
+    n, dim = u.shape[0], w.head_dim
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
         a, lse = heads.pop(0)
         g["wo"][h] += a.T @ gx
-        q, k, v = _self_qkv(w, h, u, rot)
-        gq, gk, gv = _blockwise_bwd(q, k, v, a, lse, gx @ w.wo[h].T, blocks, scale)
-        del q, k, v, a, lse
+        # the folded operands [q scale, -lse], [k, 1], [v, 1] and [g, -D]
+        # of _folded_bwd, each written into its columns, with D = rowsum(g a)
+        Qx, Kx, Vx, Gx = (np.empty((n, dim + 1)) for _ in range(4))
+        Qx[:, :-1] = rotate(u @ w.wq[h] * scale, cos, sin)
+        Qx[:, -1] = -lse
+        Kx[:, :-1] = rotate(u @ w.wk[h], cos, sin)
+        np.matmul(u, w.wv[h], out=Vx[:, :-1])
+        Kx[:, -1] = Vx[:, -1] = 1.0
+        ga = np.matmul(gx, w.wo[h].T, out=Gx[:, :-1])
+        Gx[:, -1] = -np.einsum("ij,ij->i", ga, a)
+        del a, lse, ga
+        gq, gk, gv = _folded_bwd(Qx, Kx, Vx, Gx, blocks, scale)
+        del Qx, Kx, Vx, Gx
         gq, gk = rotate(gq, cos, -sin), rotate(gk, cos, -sin)
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk
@@ -459,27 +486,90 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     return g, gx, gtext
 
 
-def _cross_head_bwd(qc, kc, vc, att, co, gx, spec, cfg, patches, scale):
+def _cross_rows(L: int) -> int:
+    """Row tile height of :func:`_cross_head_bwd` for a caption of ``L``
+    tokens: about 32768 logits (256 KiB of float64) per buffer, and at
+    least 64 rows, so a long caption's tiles stay no larger than a short
+    one's until L passes 512."""
+    return max(64, 32768 // L)
+
+
+def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
     """One cross-attention head's gradients w.r.t. its output projection
-    ``co`` and its qc, kc and vc, from its queries, keys, values and dense
-    weights ``att`` and the gradient ``gx`` at the sub-layer's output."""
+    ``co`` and its qc, kc and vc, from its queries, keys, values and row
+    log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
+
+    Walks row tiles of :func:`_cross_rows` rows and recomputes each tile's
+    weights P = exp((qc kc^T + level term) scale - lse), and from them the
+    tile's output a = P vc, instead of keeping either; with D =
+    rowsum(ga * a) for ga = gx co^T, the gradient of the logits before
+    ``scale`` is dS = P * (ga vc^T - D).  The level term's gradient needs
+    dS summed per d x d patch: each tile adds its rows into the patches
+    they belong to (:func:`_add_rows_to_patches`), so no buffer spans more
+    than one tile of rows."""
     cells, row_patch, levels = patches
-    gco = (att @ vc).T @ gx
-    ga = gx @ co.T
-    gatt = ga @ vc.T
-    gvc = att.T @ ga
-    glog = att * (gatt - (gatt * att).sum(axis=1, keepdims=True)) * scale
-    del gatt
-    gqc = glog @ kc
-    gkc = glog.T @ qc
+    n, L = qc.shape[0], kc.shape[0]
+    first = spec.n_video_tokens
+    pooled = _patch_sum(qc, spec, cfg.d) / cells
+    table = _level_table(pooled, kc, cfg, levels)
+    gco = np.zeros_like(co)
+    gqc = np.empty_like(qc)
+    gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
+    gpatch = np.zeros_like(table)  # dS summed per patch
+    tile = _cross_rows(L)
+    p_buf, ds_buf = np.empty((min(tile, n), L)), np.empty((min(tile, n), L))
+    for q0 in range(0, n, tile):
+        rows = slice(q0, min(q0 + tile, n))
+        m, lo = rows.stop - q0, max(q0, first)
+        P, dS = p_buf[:m], ds_buf[:m]
+        np.matmul(qc[rows], kc.T, out=P)
+        if lo < rows.stop:
+            term = ds_buf[: rows.stop - lo]
+            np.take(table, row_patch[lo : rows.stop], axis=0, out=term, mode="clip")
+            P[lo - q0 :] += term
+        P *= scale
+        P -= lse[rows, None]
+        np.exp(P, out=P)
+        a = P @ vc
+        ga = gx[rows] @ co.T
+        gco += a.T @ gx[rows]
+        gvc += (ga.T @ P).T
+        np.matmul(ga, vc.T, out=dS)
+        dS -= np.einsum("ij,ij->i", ga, a)[:, None]
+        dS *= P
+        np.matmul(dS, kc, out=gqc[rows])
+        gkc += (qc[rows].T @ dS).T
+        if lo < rows.stop:
+            _add_rows_to_patches(gpatch, row_patch[lo : rows.stop], dS[lo - q0 :])
+    del table
+    gqc *= scale
+    gkc *= scale
     # scaling-matrix path: the term is levels * |pooled kc^T| * r per patch,
     # pooled = patch mean of qc, and levels is constant on a patch
-    pooled = _patch_sum(qc, spec, cfg.d) / cells
     sim = pooled @ kc.T
-    gsim = np.sign(sim) * levels * cfg.r * _patch_sum(glog, spec, cfg.d)
+    gsim = gpatch
+    gsim *= np.sign(sim, out=sim)
+    del sim
+    gsim *= levels
+    gsim *= cfg.r * scale
     gkc += gsim.T @ pooled
     gqc += ((gsim @ kc) / cells)[row_patch]
     return gco, gqc, gkc, gvc
+
+
+def _add_rows_to_patches(acc, patch, x):
+    """``acc[patch[i]] += x[i]`` for every row ``i``, as one GEMM per
+    ``_PATCH_ROWS`` rows with a 0/1 matrix over the patches they span, which
+    the chunking keeps to a few KiB.  A run of rows in one patch is at most
+    d tokens long in raster order, and summing the runs with
+    ``np.add.reduceat`` and scattering them with ``np.add.at`` took 3 to 9
+    times as long."""
+    for r0 in range(0, len(patch), _PATCH_ROWS):
+        ids = patch[r0 : r0 + _PATCH_ROWS]
+        p0 = ids.min()
+        onehot = np.zeros((ids.max() + 1 - p0, len(ids)))
+        onehot[ids - p0, np.arange(len(ids))] = 1.0
+        acc[p0 : p0 + len(onehot)] += onehot @ x[r0 : r0 + _PATCH_ROWS]
 
 
 def _as_target(target, shape):

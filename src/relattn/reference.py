@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_geometry, _pooled_similarity
+from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_geometry, _patch_sum
 from .layout import SUBJECT_KINDS, LayoutSpec
 from .masks import Block, CsamMask
 
@@ -25,7 +25,22 @@ def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool
         raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if K.shape[0] == 0:
         raise ValueError("attention requires at least one key")
-    return _attend(Q, K, V, scale if scale is not None else _default_scale(K.shape[1]), return_weights)
+    scale = scale if scale is not None else _default_scale(K.shape[1])
+    out = _attend(Q, K, V, scale)[0]
+    return (out, _weights(Q, K, scale)) if return_weights else out
+
+
+def _weights(Q, K, scale: float, additive=None) -> np.ndarray:
+    """Dense softmax weights of ``(Q K^T [+ additive]) * scale``, stabilized
+    and normalized per row as the streaming cross-attention kernel does."""
+    logits = Q @ K.T
+    if additive is not None:
+        logits = logits + additive
+    logits *= logits.dtype.type(scale)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def masked_self_attention_naive(
@@ -76,7 +91,7 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
         raise ValueError(f"Q and K_text feature dims differ: {Q.shape[1]} vs {K_text.shape[1]}")
 
     cells, row_patch = _patch_geometry(spec, d, Q.dtype)
-    return _pooled_similarity(Q, K_text, spec, d, cells)[row_patch]
+    return np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)[row_patch]
 
 
 def relational_cross_attention(
@@ -105,7 +120,9 @@ def relational_cross_attention(
         raise ValueError("cross-attention requires at least one text token")
 
     table = levels * (s * np.result_type(Q, K, s).type(cfg.r))
-    return _attend(Q, K, V, _default_scale(K.shape[1]), return_weights, (table, np.arange(len(Q)), 0))
+    scale = _default_scale(K.shape[1])
+    out = _attend(Q, K, V, scale, (table, np.arange(len(Q)), 0))[0]
+    return (out, _weights(Q, K, scale, table)) if return_weights else out
 
 
 def decompose_blocks(mask: np.ndarray) -> list[Block]:

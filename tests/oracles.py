@@ -217,3 +217,43 @@ def masked_attention_grads_oracle(Q, K, V, bits, g, scale=None):
         dQ[qi] += dlogits @ K[keys]
         dK[keys] += np.outer(dlogits, Q[qi])
     return dQ, dK, dV
+
+
+def cross_attention_grads_oracle(qc, kc, vc, co, g, spec, levels, r, d, scale):
+    """(gco, gqc, gkc, gvc) of sum(g * (cross-attention(qc, kc, vc) @ co)) in
+    float64, one query row at a time through the explicit softmax Jacobian
+    and dense weights.  Row i's logits are (qc_i . kc_j + levels_ij *
+    |pooled_i . kc_j| * r) * scale, where pooled_i is the mean of qc over
+    the d x d patch of token i's frame; ``levels`` is the dense n x L level
+    matrix."""
+    qc, kc, vc, co, g = (np.asarray(a, dtype=np.float64) for a in (qc, kc, vc, co, g))
+    hw = spec.H * spec.W
+    members: dict[tuple[int, int, int], list[int]] = {}
+    patch_of = []
+    for flat in range(qc.shape[0]):
+        frame, cell = divmod(flat, hw)
+        row, col = divmod(cell, spec.W)
+        key = (frame, row // d, col // d)
+        members.setdefault(key, []).append(flat)
+        patch_of.append(key)
+    pooled = {key: qc[rows].mean(axis=0) for key, rows in members.items()}
+    gco, gqc = np.zeros_like(co), np.zeros_like(qc)
+    gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
+    for i in range(qc.shape[0]):
+        p = pooled[patch_of[i]]
+        sim = kc @ p
+        logits = (kc @ qc[i] + levels[i] * np.abs(sim) * r) * scale
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
+        gco += np.outer(w @ vc, g[i])
+        ga = co @ g[i]
+        gvc += np.outer(w, ga)
+        dlogits = (np.diag(w) - np.outer(w, w)) @ (vc @ ga) * scale
+        gqc[i] += dlogits @ kc
+        gkc += np.outer(dlogits, qc[i])
+        # through |pooled . kc_j|: every token of the patch moves pooled
+        dsim = dlogits * levels[i] * r * np.sign(sim)
+        gkc += np.outer(dsim, p)
+        rows = members[patch_of[i]]
+        gqc[rows] += (dsim @ kc) / len(rows)
+    return gco, gqc, gkc, gvc

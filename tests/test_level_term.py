@@ -34,10 +34,10 @@ def _cross_calls(fn, *args):
     calls = []
     attend = block._attend
 
-    def recording(Q, K, V, scale, return_weights, level_term):
-        out = attend(Q, K, V, scale, return_weights, level_term)
-        calls.append((Q, K, V, out[0] if return_weights else out))
-        return out
+    def recording(Q, K, V, scale, level_term):
+        out, lse = attend(Q, K, V, scale, level_term)
+        calls.append((Q, K, V, out))
+        return out, lse
 
     with mock.patch.object(block, "_attend", recording):
         fn(*args)

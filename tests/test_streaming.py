@@ -182,10 +182,16 @@ def test_blockwise_tiles_are_no_taller_than_their_blocks(traced_peak_mib, dtype)
 
 
 def test_blockwise_backward_tiles_are_no_taller_than_their_blocks(traced_peak_mib):
-    n = 1024
+    # blocks 6 rows tall and two key chunks wide: each tile is at most
+    # min(_BWD_TILE, block rows) x min(_KEY_TILE, block width), so the walk
+    # holds no more than over the same mask cut into _KEY_TILE-wide blocks,
+    # and less than one full _BWD_TILE x _KEY_TILE tile
+    chunk = attention._KEY_TILE
+    n = 2 * chunk
     cover = _short_wide_cover(n, 6)
+    cut = [Block(b.q0, b.q1, k, k + chunk) for b in cover for k in range(0, n, chunk)]
     Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (24, 25, 26, 27))
     out, lse = attention._blockwise(Q, K, V, cover, 0.5)
-    full_tile_mib = attention._BWD_TILE * n * 8 / 2**20
     peak = traced_peak_mib(attention._blockwise_bwd, Q, K, V, out, lse, g, cover, 0.5)
-    assert peak < full_tile_mib
+    assert peak <= traced_peak_mib(attention._blockwise_bwd, Q, K, V, out, lse, g, cut, 0.5)
+    assert peak < attention._BWD_TILE * chunk * 8 / 2**20

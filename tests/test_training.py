@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relattn import attention
+from relattn import attention, block
 from relattn.attention import AttnConfig, _blockwise, _blockwise_bwd
 from relattn.block import (
     _forward,
@@ -22,9 +22,15 @@ from relattn.block import (
 )
 from relattn.corpus import bench_layout, corpus_layout, make_spec
 from relattn.masks import Block, CsamMask, build_csam, build_mcam
-from relattn.reference import decompose_blocks, masked_self_attention_naive
+from relattn.reference import compute_scaling_s, decompose_blocks, masked_self_attention_naive
 
-from oracles import csam_oracle, masked_attention_grads_oracle
+from oracles import (
+    cross_attention_grads_oracle,
+    csam_oracle,
+    masked_attention_grads_oracle,
+    mcam_oracle,
+    scaling_oracle,
+)
 from strategies import layout_specs
 
 ROADMAP_LAYOUT = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1))
@@ -46,13 +52,17 @@ def _qkvg(n, seed):
     return [rng.standard_normal((n, dim)) for dim in (4, 4, 3, 3)]
 
 
+def _logsumexp(logits):
+    """Each row's log-sum-exp, -inf entries contributing nothing."""
+    peak = logits.max(axis=1)
+    return peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+
+
 def _dense_forward(Q, K, V, bits, blocks, scale):
     """Masked scaled logits (-inf where masked), the dense kernel's output
     and each row's log-sum-exp."""
     logits = np.where(bits, (Q @ K.T) * scale, -np.inf)
-    peak = logits.max(axis=1)
-    lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-    return logits, masked_self_attention_naive(Q, K, V, CsamMask(len(Q), blocks), scale), lse
+    return logits, masked_self_attention_naive(Q, K, V, CsamMask(len(Q), blocks), scale), _logsumexp(logits)
 
 
 def test_dense_grads_oracle_matches_central_differences():
@@ -74,11 +84,14 @@ def test_dense_grads_oracle_matches_central_differences():
             assert abs((hi - lo) / (2 * eps) - grad[idx]) < 1e-8
 
 
-@given(general_covers(), st.sampled_from([1, 2, 3, 256]), st.integers(0, 1000))
-def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, seed):
+@given(
+    general_covers(), st.sampled_from([1, 2, 3, 256]), st.sampled_from([1, 2, 3, 512]), st.integers(0, 1000)
+)
+def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, keys, seed):
     # rows that span several blocks combine their log-sum-exp across blocks;
     # small tiles split every block into several query tiles, in the forward
-    # and in the backward, which has its own tile height
+    # and in the backward, which has its own tile height, and small key
+    # chunks split every block into several tiles along its keys too
     bits, blocks = cover
     n = bits.shape[0]
     Q, K, V, g = _qkvg(n, seed)
@@ -87,7 +100,7 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     _, want_out, want_lse = _dense_forward(Q, K, V, bits, blocks, scale)
     with mock.patch.object(attention, "_SELF_TILE", tile), mock.patch.object(
         attention, "_BWD_TILE", tile
-    ):
+    ), mock.patch.object(attention, "_KEY_TILE", keys):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise(Q, K, V, order, scale)
             np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
@@ -96,8 +109,10 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
-@given(general_covers(), st.sampled_from([1, 2, 3, 256]), st.integers(0, 1000))
-def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, tile, seed):
+@given(
+    general_covers(), st.sampled_from([1, 2, 3, 256]), st.sampled_from([1, 2, 3, 512]), st.integers(0, 1000)
+)
+def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, tile, keys, seed):
     # unit and x30 rows keep scale |q| max|k| as their stabilizer; at x1e3
     # and x1e5 that bound would push a row's largest weight below the normal
     # range of float64, so those rows take their exact row max instead
@@ -110,8 +125,9 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
     # float64 logits carry an absolute error of a few ulps of their size
     size = np.abs(np.where(bits, logits, 0.0)).max(axis=1)
     tol = 1e-12 + 1e-14 * size
-    # the float64 route walks _BWD_TILE rows in both of its tiled passes
-    with mock.patch.object(attention, "_BWD_TILE", tile):
+    # the float64 route walks _BWD_TILE x _KEY_TILE tiles in both of its
+    # tiled passes, the exact route's peak scan included
+    with mock.patch.object(attention, "_BWD_TILE", tile), mock.patch.object(attention, "_KEY_TILE", keys):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise(Q, K, V, order, scale)
             assert np.isfinite(out).all() and np.isfinite(lse).all()
@@ -188,6 +204,38 @@ def test_grad_check_on_generated_layouts(spec):
     assert report.max_rel_error <= 1e-3
 
 
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_streamed_cross_backward_matches_dense_oracle(tile, d):
+    # 20 video rows: tiles of 3 and 7 rows straddle the first condition
+    # row, and patch runs of d tokens along a 5-token grid row split
+    # across tiles
+    spec = make_spec(1, 4, 5, bg=1, objs=1, groups=(2,), span_len=3, gap=1)
+    assert spec.n_video_tokens % 3 and spec.n_video_tokens % 7
+    cfg = AttnConfig(r=0.8, d=d)
+    w, x, text, _ = _problem(spec, 8)
+    _, _, _, _, patches = _prepare(w, x, text, spec, cfg, build_mcam(spec), np.float64)
+    rng = np.random.default_rng(9)
+    qc, kc, vc = (rng.standard_normal((m, w.head_dim)) for m in (spec.n_tokens, spec.text_len, spec.text_len))
+    co, gx = w.co[0], rng.standard_normal(x.shape)
+    scale = 1 / np.sqrt(w.head_dim)
+    levels = mcam_oracle(spec)
+    lse = _logsumexp((qc @ kc.T + levels * scaling_oracle(qc, kc, spec, d) * cfg.r) * scale)
+    want = cross_attention_grads_oracle(qc, kc, vc, co, gx, spec, levels, cfg.r, d, scale)
+    with mock.patch.object(block, "_cross_rows", lambda L: tile):
+        got = block._cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale)
+    for g, ref in zip(got, want):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+
+def test_grad_check_with_a_caption_longer_than_one_cross_tile():
+    spec = make_spec(1, 6, 6, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
+    assert spec.text_len == 312 and spec.n_tokens > 2 * block._cross_rows(spec.text_len)
+    w, x, text, target = _problem(spec, 5, 6, 4, n_heads=2, head_dim=6, hidden=8)
+    report = grad_check(w, x, text, spec, AttnConfig(d=2), target, max_coords=24, check_inputs=True)
+    assert report.max_rel_error <= 1e-3
+
+
 def test_training_loss_is_the_float64_forward_loss():
     for spec in (corpus_layout("showcase"), bench_layout()):
         w, x, text, target = _problem(spec, 3)
@@ -207,9 +255,17 @@ def test_taping_leaves_the_forward_output_unchanged(spec):
     tape: dict = {}
     taped = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
     assert taped.tobytes() == _forward(w, x, text, spec, cfg, rot, blocks, patches).tobytes()
-    assert set(tape) == {"text", "u", "inv", "self", "u2", "inv2", "cross", "u3", "inv3", "h1"}
-    # the taped MLP pre-activation is not overwritten by its GELU
-    assert np.array_equal(tape["h1"], tape["u3"] @ w.w1 + w.b1)
+    assert set(tape) == {"text", "u", "inv", "self", "u2", "inv2", "cross", "u3", "inv3"}
+    # each cross-attention head tapes its keys, values and the log-sum-exp
+    # of each row's scaled logits, level term included
+    levels = build_mcam(spec).levels
+    for h, (kc, vc, lse) in enumerate(tape["cross"]):
+        qc = tape["u2"] @ w.cq[h]
+        np.testing.assert_array_equal(kc, text @ w.ck[h])
+        np.testing.assert_array_equal(vc, text @ w.cv[h])
+        s = compute_scaling_s(qc, kc, spec, cfg.d)
+        want = _logsumexp((qc @ kc.T + levels * s * cfg.r) / np.sqrt(w.head_dim))
+        np.testing.assert_allclose(lse, want, rtol=0, atol=1e-12)
 
 
 def test_plain_block_is_the_full_cover_without_level_term():
@@ -236,15 +292,35 @@ def test_training_memory_stays_below_dense_weights(traced_peak_mib):
     # backward of 256-row tiles with fresh P and dS per tile peaked at 16.3
     # and 77.8 MiB, one of _BWD_TILE rows through two reused buffers at
     # 11.1 and 43.9 MiB, one that also drops each tape entry once used,
-    # after a float64 forward of _BWD_TILE rows, at 6.0 and 23.9 MiB, and
-    # one whose tape leaves out the projections, the GELU and the
+    # after a float64 forward of _BWD_TILE rows, at 6.0 and 23.9 MiB, one
+    # whose tape leaves out the projections, the GELU and the
     # cross-attention outputs for the backward to rebuild, with GELU, the
-    # residual stream and the output gradient in place, at 4.56 and 17.9 MiB
-    def peak(spec):
-        w, x, text, target = _problem(spec, 0)
-        return traced_peak_mib(loss_and_gradients, w, x, text, spec, AttnConfig(), target)
-
+    # residual stream and the output gradient in place, at 4.56 and 17.9
+    # MiB, and one that also walks 2-D tiles of at most _KEY_TILE keys,
+    # streams the cross-attention backward from a row log-sum-exp and the
+    # MLP backward in row chunks at 2.54 and 9.16 MiB
     assert bench_layout().n_tokens == 1872
-    assert peak(bench_layout()) < 5.5
+    assert _training_peak(traced_peak_mib, bench_layout()) < 2.8
     assert ROADMAP_LAYOUT.n_tokens == 7488
-    assert peak(ROADMAP_LAYOUT) < 21.0
+    assert _training_peak(traced_peak_mib, ROADMAP_LAYOUT) < 10.1
+
+
+def test_training_memory_does_not_grow_with_the_caption(traced_peak_mib):
+    # a 312-token caption, the length sample-reuse samples with: taping
+    # each head's dense n x L cross-attention weights peaked at 19.6 MiB at
+    # n=1872 and 77.8 MiB at n=7488; streamed from a row log-sum-exp, at
+    # 2.71 and 9.26 MiB
+    short = bench_layout()
+    long = make_spec(2, 12, 12, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
+    large = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
+    assert (short.text_len, long.text_len, large.text_len) == (34, 312, 312)
+    assert long.n_tokens == short.n_tokens == 1872 and large.n_tokens == 7488
+    peak = _training_peak(traced_peak_mib, long)
+    assert peak < 4.0
+    assert peak <= 1.1 * _training_peak(traced_peak_mib, short)
+    assert _training_peak(traced_peak_mib, large) < 14.0
+
+
+def _training_peak(traced_peak_mib, spec):
+    w, x, text, target = _problem(spec, 0)
+    return traced_peak_mib(loss_and_gradients, w, x, text, spec, AttnConfig(), target)
