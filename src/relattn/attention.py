@@ -1,15 +1,17 @@
 """Attention kernels the block runs: a block-streaming masked kernel and its
-recomputing backward, and the pieces of relational cross-attention (a tiled
-softmax with the level term added per row that also returns each row's
-log-sum-exp, and a query-key similarity estimate pooled per d x d patch).
-The dense reference kernels these are tested against live in
-:mod:`relattn.reference`.
+recomputing backward :func:`_folded_bwd`, and the pieces of relational
+cross-attention (a tiled softmax with the level term added per row that
+also returns each row's log-sum-exp, and the per-patch sums from which the
+block pools its queries per d x d patch).  The dense reference kernels
+these are tested against live in :mod:`relattn.reference`.
 
-The streaming kernel keeps an online softmax for float32, whose output bits
-the README loss pins.  Other dtypes fix each query row's softmax stabilizer
-before the walk and share the backward's augmented GEMM operands and its
-2-D tiles of ``_BWD_TILE`` rows x at most ``_KEY_TILE`` keys, so no float64
-buffer grows with the width of a block.
+Every walk visits the tiles of :func:`_tiles`.  The streaming kernel keeps
+an online softmax for float32, whose output bits the README loss pins, in
+tiles of ``_SELF_TILE`` rows x a whole block.  Other dtypes fix each query
+row's softmax stabilizer before the walk and share the backward's folded
+GEMM operands (:func:`_folded`) and its 2-D tiles of ``_BWD_TILE`` rows x
+at most ``_KEY_TILE`` keys, so no float64 buffer grows with the width of a
+block.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -173,7 +175,7 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
 
 def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
-    of its scaled logits, from which :func:`_blockwise_bwd` recomputes weights.
+    of its scaled logits, from which :func:`_folded_bwd` recomputes weights.
 
     float32 runs the online softmax of :func:`_online_blockwise` in tiles
     of the frozen ``_SELF_TILE`` (256) rows, only because the README loss
@@ -220,7 +222,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
         peak = np.full(exact.size, -np.inf, dtype=dt)
         for blk in blocks:
             lo, hi = np.searchsorted(exact, (blk.q0, blk.q1))
-            for ts, ks in _tiles(lo, hi, blk.k0, blk.k1):
+            for ts, ks in _tiles(lo, hi, blk.k0, blk.k1, _BWD_TILE, _KEY_TILE):
                 logits = _view(buf, ts, ks)
                 np.matmul(Qs[exact[ts]], K[ks].T, out=logits)
                 np.maximum(peak[ts], logits.max(axis=1), out=peak[ts])
@@ -229,7 +231,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     Qx, Kx, Vx = _folded(Qs, K, V, c)
     acc = np.zeros((n, Vx.shape[1]), dtype=dt)
     for blk in blocks:
-        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1):
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _BWD_TILE, _KEY_TILE):
             P = _view(buf, qs, ks)
             np.matmul(Qx[qs], Kx[ks].T, out=P)
             np.exp(P, out=P)
@@ -247,19 +249,17 @@ def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
     acc = np.zeros((n, V.shape[1]), dtype=dt)
     buf = np.empty(_tile_size(blocks, _SELF_TILE, n), dtype=np.result_type(Q, K))
     for blk in blocks:
-        Kt, Vb = K[blk.k0 : blk.k1].T, V[blk.k0 : blk.k1]
-        for q0 in range(blk.q0, blk.q1, _SELF_TILE):
-            qs = slice(q0, min(q0 + _SELF_TILE, blk.q1))
-            m = qs.stop - q0
-            logits = buf[: m * Kt.shape[1]].reshape(m, -1)
-            np.matmul(Q[qs], Kt, out=logits)
+        # n keys per tile: one key chunk spans the whole block
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _SELF_TILE, n):
+            logits = _view(buf, qs, ks)
+            np.matmul(Q[qs], K[ks].T, out=logits)
             logits *= sc
             new_max = np.maximum(running_max[qs], logits.max(axis=1))
             carry = np.exp(running_max[qs] - new_max)
             logits -= new_max[:, None]
             np.exp(logits, out=logits)
             acc[qs] *= carry[:, None]
-            acc[qs] += logits @ Vb
+            acc[qs] += logits @ V[ks]
             normalizer[qs] = normalizer[qs] * carry + logits.sum(axis=1)
             running_max[qs] = new_max
     acc /= normalizer[:, None]
@@ -272,13 +272,14 @@ def _tile_size(blocks: Sequence[Block], rows: int, cols: int) -> int:
     return max((min(rows, b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
 
 
-def _tiles(q0: int, q1: int, k0: int, k1: int):
-    """(query slice, key slice) of each ``_BWD_TILE`` x ``_KEY_TILE`` tile
-    of the rectangle [q0, q1) x [k0, k1), key chunks innermost."""
-    for t0 in range(q0, q1, _BWD_TILE):
-        qs = slice(t0, min(t0 + _BWD_TILE, q1))
-        for c0 in range(k0, k1, _KEY_TILE):
-            yield qs, slice(c0, min(c0 + _KEY_TILE, k1))
+def _tiles(q0: int, q1: int, k0: int, k1: int, rows: int, cols: int):
+    """(query slice, key slice) of each tile of at most ``rows`` queries x
+    ``cols`` keys of the rectangle [q0, q1) x [k0, k1), key chunks
+    innermost."""
+    for t0 in range(q0, q1, rows):
+        qs = slice(t0, min(t0 + rows, q1))
+        for c0 in range(k0, k1, cols):
+            yield qs, slice(c0, min(c0 + cols, k1))
 
 
 def _view(buf: np.ndarray, qs: slice, ks: slice) -> np.ndarray:
@@ -294,15 +295,6 @@ def _folded(Qs, K, V, shift):
     the last column."""
     ones = np.ones((K.shape[0], 1), dtype=K.dtype)
     return np.hstack([Qs, -shift[:, None]]), np.hstack([K, ones]), np.hstack([V, ones])
-
-
-def _blockwise_bwd(Q, K, V, out, lse, g, blocks: Sequence[Block], scale: float):
-    """Gradients (dQ, dK, dV) of :func:`_blockwise` given ``g`` at its output:
-    :func:`_folded_bwd` on the operands of :func:`_folded` and ``[g, -D]``
-    with D = rowsum(g * out)."""
-    Qx, Kx, Vx = _folded(Q * scale, K, V, lse)
-    gx = np.hstack([g, -(g * out).sum(axis=1, keepdims=True)])
-    return _folded_bwd(Qx, Kx, Vx, gx, blocks, scale)
 
 
 def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
@@ -323,7 +315,7 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
     size = _tile_size(blocks, _BWD_TILE, _KEY_TILE)
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
     for blk in blocks:
-        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1):
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _BWD_TILE, _KEY_TILE):
             P, dS = _view(p_buf, qs, ks), _view(ds_buf, qs, ks)
             np.matmul(Qx[qs], Kx[ks].T, out=P)
             np.exp(P, out=P)

@@ -20,6 +20,7 @@ from .attention import (
     _attend,
     _blockwise,
     _default_scale,
+    _folded,
     _folded_bwd,
     _patch_geometry,
     _patch_sum,
@@ -31,8 +32,6 @@ from .rotary import default_config, position_array, rotary_table, rotate
 _LN_EPS = 1e-6
 # rows per chunk of the MLP backward, which rebuilds the pre-activation
 _MLP_ROWS = 512
-# rows per 0/1 matrix of _add_rows_to_patches
-_PATCH_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +107,21 @@ class BlockWeights:
     head_dim: int = field(init=False)
 
     def __post_init__(self):
-        h, _, d = self.wq.shape
+        if self.wq.ndim != 3:
+            raise ValueError(f"wq has shape {self.wq.shape}, expected (heads, channels, head_dim)")
+        h, c, d = self.wq.shape
         self.n_heads = h
         self.head_dim = d
-        shapes = {
-            "wq": self.wq.shape, "wk": self.wk.shape, "wv": self.wv.shape,
-            "cq": self.cq.shape, "ck": self.ck.shape, "cv": self.cv.shape,
+        ct = self.ck.shape[1] if self.ck.ndim == 3 else None  # None matches no shape
+        f = self.w1.shape[1] if self.w1.ndim == 2 else None
+        expected = {
+            "wq": (h, c, d), "wk": (h, c, d), "wv": (h, c, d), "wo": (h, d, c),
+            "cq": (h, c, d), "ck": (h, ct, d), "cv": (h, ct, d), "co": (h, d, c),
+            "w1": (c, f), "b1": (f,), "w2": (f, c), "b2": (c,),
         }
-        for name, shape in shapes.items():
-            if shape[0] != h or shape[2] != d:
-                raise ValueError(f"{name} has shape {shape}, expected ({h}, *, {d})")
-        if self.wo.shape[:2] != (h, d) or self.co.shape[:2] != (h, d):
-            raise ValueError("wo/co must be (heads, head_dim, channels)")
         for name, arr in self.arrays().items():
+            if arr.shape != expected[name]:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {expected[name]}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
 
@@ -254,6 +255,7 @@ def _prepare(weights, z_tokens, text, spec, cfg, mcam, dtype=None):
     for name, arr in (("z_tokens", x), ("text", text)):
         if not np.issubdtype(arr.dtype, np.floating):
             raise ValueError(f"{name} must have a floating dtype, got {arr.dtype}")
+    text = text.astype(x.dtype, copy=False)
     if x.ndim != 2 or x.shape != (spec.n_tokens, weights.channels):
         raise ValueError(
             f"z_tokens must be ({spec.n_tokens}, {weights.channels}), got {x.shape}"
@@ -324,7 +326,7 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
             kc = text @ w.ck[h]
             vc = text @ w.cv[h]
             pooled = _patch_sum(qc, spec, cfg.d) / cells
-            level_term = (_level_table(pooled, kc, cfg, levels), row_patch, spec.n_video_tokens)
+            level_term = (_level_table(pooled @ kc.T, cfg, levels), row_patch, spec.n_video_tokens)
             a, lse = _attend(qc, kc, vc, scale, level_term)
             if tape is not None:
                 cross_tape.append((kc, vc, lse))
@@ -351,11 +353,11 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     return y
 
 
-def _level_table(pooled, kc, cfg, levels):
+def _level_table(sim, cfg, levels):
     """The level term of one cross-attention head, one row per d x d patch:
-    levels * |pooled kc^T| * r, for ``pooled`` the patch means of its
-    queries."""
-    table = np.abs(pooled @ kc.T)
+    levels * |sim| * r, for ``sim`` = pooled kc^T and ``pooled`` the patch
+    means of its queries."""
+    table = np.abs(sim)
     table *= table.dtype.type(cfg.r)
     table *= levels  # level * (s * r), as the dense kernel's levels * s * r
     return table
@@ -410,8 +412,10 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     ``_MLP_ROWS`` rows at a time; each cross-attention head's queries from
     ``u2``, and its weights and output tile by tile from the taped row
     log-sum-exp (:func:`_cross_head_bwd`); and each self-attention head's
-    rotated queries, keys and values from ``u``, projected straight into
-    the folded operands of :func:`_folded_bwd`.  Consumes ``tape``: each
+    rotated queries, keys and values from ``u`` by :func:`_self_qkv`, folded
+    by :func:`_folded` as the forward folds them but with the row
+    log-sum-exp as the shift, beside ``[g, -D]`` for D = rowsum(g a), for
+    :func:`_folded_bwd`.  Consumes ``tape``: each
     step pops its entries and drops them once it is done with them, so the
     walk back holds only the tape still ahead of it.  ``gy`` becomes ``gx``,
     the gradient at the residual stream, updated in place past each
@@ -458,21 +462,15 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     # self-attention
     cos, sin = rot
     u, inv, heads = tape.pop("u"), tape.pop("inv"), tape.pop("self")
-    n, dim = u.shape[0], w.head_dim
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
         a, lse = heads.pop(0)
         g["wo"][h] += a.T @ gx
-        # the folded operands [q scale, -lse], [k, 1], [v, 1] and [g, -D]
-        # of _folded_bwd, each written into its columns, with D = rowsum(g a)
-        Qx, Kx, Vx, Gx = (np.empty((n, dim + 1)) for _ in range(4))
-        Qx[:, :-1] = rotate(u @ w.wq[h] * scale, cos, sin)
-        Qx[:, -1] = -lse
-        Kx[:, :-1] = rotate(u @ w.wk[h], cos, sin)
-        np.matmul(u, w.wv[h], out=Vx[:, :-1])
-        Kx[:, -1] = Vx[:, -1] = 1.0
-        ga = np.matmul(gx, w.wo[h].T, out=Gx[:, :-1])
-        Gx[:, -1] = -np.einsum("ij,ij->i", ga, a)
+        q, k, v = _self_qkv(w, h, u, rot)
+        Qx, Kx, Vx = _folded(q * scale, k, v, lse)
+        del q, k, v
+        ga = gx @ w.wo[h].T
+        Gx = np.hstack([ga, -np.einsum("ij,ij->i", ga, a)[:, None]])  # [g, -D]
         del a, lse, ga
         gq, gk, gv = _folded_bwd(Qx, Kx, Vx, Gx, blocks, scale)
         del Qx, Kx, Vx, Gx
@@ -498,34 +496,42 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
     """One cross-attention head's gradients w.r.t. its output projection
     ``co`` and its qc, kc and vc, from its queries, keys, values and row
     log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
+    Overwrites ``qc``.
 
     Walks row tiles of :func:`_cross_rows` rows and recomputes each tile's
     weights P = exp((qc kc^T + level term) scale - lse), and from them the
     tile's output a = P vc, instead of keeping either; with D =
     rowsum(ga * a) for ga = gx co^T, the gradient of the logits before
-    ``scale`` is dS = P * (ga vc^T - D).  The level term's gradient needs
-    dS summed per d x d patch: each tile adds its rows into the patches
-    they belong to (:func:`_add_rows_to_patches`), so no buffer spans more
-    than one tile of rows."""
+    ``scale`` is dS = P * (ga vc^T - D).  The level term of a condition row
+    is levels * |pooled kc^T| * r on its patch, pooled = the patch mean of
+    qc, so its gradient is W = dS * sign(pooled kc^T) * levels * r per row:
+    each tile adds W^T pooled into kc's gradient and writes W kc over its
+    rows of qc, which it no longer needs, and after the walk the patch
+    means of those rows (:func:`_patch_sum`) flow back to every row of
+    their patch.  No buffer spans more than one tile of rows."""
     cells, row_patch, levels = patches
     n, L = qc.shape[0], kc.shape[0]
     first = spec.n_video_tokens
     pooled = _patch_sum(qc, spec, cfg.d) / cells
-    table = _level_table(pooled, kc, cfg, levels)
+    slope = pooled @ kc.T  # sim, then d table / d sim, one row per patch
+    table = _level_table(slope, cfg, levels)
+    np.sign(slope, out=slope)
+    slope *= levels
+    slope *= cfg.r
     gco = np.zeros_like(co)
     gqc = np.empty_like(qc)
     gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
-    gpatch = np.zeros_like(table)  # dS summed per patch
     tile = _cross_rows(L)
     p_buf, ds_buf = np.empty((min(tile, n), L)), np.empty((min(tile, n), L))
     for q0 in range(0, n, tile):
         rows = slice(q0, min(q0 + tile, n))
         m, lo = rows.stop - q0, max(q0, first)
+        patch = row_patch[lo : rows.stop]  # of the tile's condition rows
         P, dS = p_buf[:m], ds_buf[:m]
         np.matmul(qc[rows], kc.T, out=P)
-        if lo < rows.stop:
-            term = ds_buf[: rows.stop - lo]
-            np.take(table, row_patch[lo : rows.stop], axis=0, out=term, mode="clip")
+        if len(patch):
+            term = ds_buf[: len(patch)]
+            np.take(table, patch, axis=0, out=term, mode="clip")
             P[lo - q0 :] += term
         P *= scale
         P -= lse[rows, None]
@@ -539,37 +545,18 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
         dS *= P
         np.matmul(dS, kc, out=gqc[rows])
         gkc += (qc[rows].T @ dS).T
-        if lo < rows.stop:
-            _add_rows_to_patches(gpatch, row_patch[lo : rows.stop], dS[lo - q0 :])
-    del table
+        if len(patch):
+            W = p_buf[: len(patch)]
+            np.take(slope, patch, axis=0, out=W, mode="clip")
+            W *= dS[lo - q0 :]
+            gkc += (pooled[patch].T @ W).T
+            np.matmul(W, kc, out=qc[lo : rows.stop])
+    del table, slope
+    qc[:first] = 0.0  # the video rows have no level term
+    gqc += (_patch_sum(qc, spec, cfg.d) / cells)[row_patch]
     gqc *= scale
     gkc *= scale
-    # scaling-matrix path: the term is levels * |pooled kc^T| * r per patch,
-    # pooled = patch mean of qc, and levels is constant on a patch
-    sim = pooled @ kc.T
-    gsim = gpatch
-    gsim *= np.sign(sim, out=sim)
-    del sim
-    gsim *= levels
-    gsim *= cfg.r * scale
-    gkc += gsim.T @ pooled
-    gqc += ((gsim @ kc) / cells)[row_patch]
     return gco, gqc, gkc, gvc
-
-
-def _add_rows_to_patches(acc, patch, x):
-    """``acc[patch[i]] += x[i]`` for every row ``i``, as one GEMM per
-    ``_PATCH_ROWS`` rows with a 0/1 matrix over the patches they span, which
-    the chunking keeps to a few KiB.  A run of rows in one patch is at most
-    d tokens long in raster order, and summing the runs with
-    ``np.add.reduceat`` and scattering them with ``np.add.at`` took 3 to 9
-    times as long."""
-    for r0 in range(0, len(patch), _PATCH_ROWS):
-        ids = patch[r0 : r0 + _PATCH_ROWS]
-        p0 = ids.min()
-        onehot = np.zeros((ids.max() + 1 - p0, len(ids)))
-        onehot[ids - p0, np.arange(len(ids))] = 1.0
-        acc[p0 : p0 + len(onehot)] += onehot @ x[r0 : r0 + _PATCH_ROWS]
 
 
 def _as_target(target, shape):

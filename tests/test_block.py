@@ -170,6 +170,30 @@ def test_forward_rejects_integer_inputs(setup, forward, arg):
         forward(weights, args["z_tokens"], args["text"], spec, AttnConfig())
 
 
+def test_float64_caption_runs_in_the_latents_dtype(setup):
+    spec, weights, x, text = setup
+    wide = text.astype(np.float64)
+    out = block_forward(weights, x, wide, spec, AttnConfig())
+    assert out.tobytes() == block_forward(weights, x, text, spec, AttnConfig()).tobytes()
+
+
+# one wrong shape per array, for h=2 heads, C=12 channels, Ct=8 text
+# channels, D=8 head_dim and F=16 hidden units
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("wq", (2, 12)), ("wk", (2, 12, 9)), ("wv", (2, 13, 8)), ("wo", (2, 8, 13)),
+        ("cq", (3, 12, 8)), ("ck", (2, 8, 9)), ("cv", (2, 9, 8)), ("co", (2, 8, 11)),
+        ("w1", (13, 16)), ("b1", (1,)), ("w2", (16, 13)), ("b2", (1,)),
+    ],
+)
+def test_weights_reject_a_mis_shaped_array(setup, name, shape):
+    arrays = setup[1].arrays()
+    arrays[name] = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(ValueError, match=rf"^{name} has shape"):
+        BlockWeights(**arrays)
+
+
 def test_r_changes_output(setup):
     spec, weights, x, text = setup
     a = block_forward(weights, x, text, spec, AttnConfig(r=0.0))

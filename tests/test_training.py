@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relattn import attention, block
-from relattn.attention import AttnConfig, _blockwise, _blockwise_bwd
+from relattn.attention import AttnConfig, _blockwise, _folded, _folded_bwd
 from relattn.block import (
     _forward,
     _prepare,
@@ -56,6 +56,14 @@ def _logsumexp(logits):
     """Each row's log-sum-exp, -inf entries contributing nothing."""
     peak = logits.max(axis=1)
     return peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+
+
+def _streamed_grads(Q, K, V, out, lse, g, blocks, scale):
+    """(dQ, dK, dV) as training takes them: the operands folded as
+    ``block._backward`` folds them, walked by ``_folded_bwd``."""
+    Qx, Kx, Vx = _folded(Q * scale, K, V, lse)
+    gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
+    return _folded_bwd(Qx, Kx, Vx, gx, blocks, scale)
 
 
 def _dense_forward(Q, K, V, bits, blocks, scale):
@@ -105,7 +113,7 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
             out, lse = _blockwise(Q, K, V, order, scale)
             np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-12)
-            for got, ref in zip(_blockwise_bwd(Q, K, V, out, lse, g, order, scale), want):
+            for got, ref in zip(_streamed_grads(Q, K, V, out, lse, g, order, scale), want):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
@@ -183,7 +191,7 @@ def test_blockwise_backward_matches_dense_oracle_at_the_shipped_tile():
     scale = 0.5
     want = masked_attention_grads_oracle(Q, K, V, csam_oracle(spec), g, scale)
     out, lse = _blockwise(Q, K, V, blocks, scale)
-    for got, ref in zip(_blockwise_bwd(Q, K, V, out, lse, g, blocks, scale), want):
+    for got, ref in zip(_streamed_grads(Q, K, V, out, lse, g, blocks, scale), want):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
@@ -205,11 +213,12 @@ def test_grad_check_on_generated_layouts(spec):
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_streamed_cross_backward_matches_dense_oracle(tile, d):
     # 20 video rows: tiles of 3 and 7 rows straddle the first condition
     # row, and patch runs of d tokens along a 5-token grid row split
-    # across tiles
+    # across tiles; at d=8 the patch is wider than the 4x5 frame, so one
+    # ragged patch takes rows from every row tile of its frame
     spec = make_spec(1, 4, 5, bg=1, objs=1, groups=(2,), span_len=3, gap=1)
     assert spec.n_video_tokens % 3 and spec.n_video_tokens % 7
     cfg = AttnConfig(r=0.8, d=d)
@@ -316,9 +325,9 @@ def test_training_memory_does_not_grow_with_the_caption(traced_peak_mib):
     assert (short.text_len, long.text_len, large.text_len) == (34, 312, 312)
     assert long.n_tokens == short.n_tokens == 1872 and large.n_tokens == 7488
     peak = _training_peak(traced_peak_mib, long)
-    assert peak < 4.0
+    assert peak < 3.0
     assert peak <= 1.1 * _training_peak(traced_peak_mib, short)
-    assert _training_peak(traced_peak_mib, large) < 14.0
+    assert _training_peak(traced_peak_mib, large) < 10.3
 
 
 def _training_peak(traced_peak_mib, spec):
