@@ -1,17 +1,17 @@
-"""Attention kernels the block runs: a block-streaming masked kernel and its
-recomputing backward :func:`_folded_bwd`, and the pieces of relational
-cross-attention (a tiled softmax with the level term added per row that
-also returns each row's log-sum-exp, and the per-patch sums from which the
-block pools its queries per d x d patch).  The dense reference kernels
-these are tested against live in :mod:`relattn.reference`.
+"""The block's two attentions, each with the backward that recomputes its
+weights by its forward's own code: masked self-attention streamed over a
+block cover (:func:`_blockwise`, :func:`_folded_bwd`), and relational
+cross-attention (:func:`_attend`, :func:`_cross_head_bwd`), whose level term
+(:func:`_level_term`) and tile logits (:func:`_cross_logits`) serve both
+directions.  The dense reference kernels live in :mod:`relattn.reference`.
 
-Every walk visits the tiles of :func:`_tiles`.  The streaming kernel keeps
-an online softmax for float32, whose output bits the README loss pins, in
-tiles of ``_SELF_TILE`` rows x a whole block.  Other dtypes fix each query
-row's softmax stabilizer before the walk and share the backward's folded
-GEMM operands (:func:`_folded`) and its 2-D tiles of ``_BWD_TILE`` rows x
-at most ``_KEY_TILE`` keys, so no float64 buffer grows with the width of a
-block.
+Every walk visits the tiles of :func:`_tiles`; cross-attention's span the
+whole caption.  Self-attention keeps an online softmax for float32, whose
+output bits the README loss pins, in tiles of ``_SELF_TILE`` rows x a whole
+block.  Other dtypes fix each query row's softmax stabilizer before the walk
+and share the backward's folded GEMM operands (:func:`_folded`) and its 2-D
+tiles of ``_BWD_TILE`` rows x at most ``_KEY_TILE`` keys, so no float64
+buffer grows with the width of a block.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -89,50 +89,6 @@ def _default_scale(k_cols: int) -> float:
     return 1.0 / math.sqrt(k_cols)
 
 
-def _attend(Q, K, V, scale, level_term=None):
-    """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
-    and each query row's log-sum-exp of its scaled logits, from which the
-    training backward recomputes the weights.
-
-    ``level_term=(table, index, first)`` adds ``table[index[i]]``, the
-    relational levels * s * r stored once per distinct row, to every query
-    row ``i >= first``; earlier rows have all-zero levels and skip it.
-    Queries run in row tiles through one reused logits buffer.
-    """
-    n, L = Q.shape[0], K.shape[0]
-    if level_term is None:
-        dt, first = np.result_type(Q, K), n
-    else:
-        table, index, first = level_term
-        dt = np.result_type(Q, K, table)
-        term = np.empty((min(_CROSS_TILE, n - first), L), dtype=table.dtype)  # rows >= first only
-    out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
-    peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
-    buf = np.empty((min(_CROSS_TILE, n), L), dtype=dt)
-    sc = dt.type(scale)
-    Kt = K.T
-    for q0 in range(0, n, _CROSS_TILE):
-        rows = slice(q0, min(q0 + _CROSS_TILE, n))
-        logits = buf[: rows.stop - q0]
-        np.matmul(Q[rows], Kt, out=logits)
-        lo = max(q0, first)
-        if lo < rows.stop:
-            t = term[: rows.stop - lo]
-            np.take(table, index[lo : rows.stop], axis=0, out=t, mode="clip")
-            logits[lo - q0 :] += t
-        logits *= sc
-        row_max = logits.max(axis=1, keepdims=True)
-        logits -= row_max
-        np.exp(logits, out=logits)
-        row_sum = logits.sum(axis=1, keepdims=True)
-        logits /= row_sum
-        np.matmul(logits, V, out=out[rows])
-        peak[rows], total[rows] = row_max[:, 0], row_sum[:, 0]
-    np.log(total, out=total)
-    total += peak  # the log-sum-exp
-    return out, total
-
-
 def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
     covered = np.zeros(n, dtype=bool)
     for blk in blocks:
@@ -163,13 +119,20 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
     """Streaming masked self-attention over a disjoint block cover.
 
     The result matches the dense masked kernel for any block visit order.
-    Each block is walked in query-row tiles through one reused logits
-    buffer the size of the cover's largest tile, min(tile, block rows) x
-    block width, so memory stays O(tile x widest block) whatever the
-    sequence length.  float32 inputs keep a running max and normalizer per
-    query row (online softmax); other dtypes fix each row's softmax
-    stabilizer before the walk (see :func:`_blockwise`).
+    Each block is walked in tiles through one reused logits buffer the size
+    of the cover's largest tile, whatever the sequence length: float32 keeps
+    a running max and normalizer per query row (online softmax) over tiles
+    of at most 256 rows x a whole block; other dtypes fix each row's softmax
+    stabilizer before the walk, in tiles of at most 64 rows x 512 keys (see
+    :func:`_blockwise`).
     """
+    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
+    n = Q.shape[0]
+    if K.shape[0] != n or V.shape[0] != n:
+        raise ValueError(f"K/V must have {n} rows, got {K.shape[0]}/{V.shape[0]}")
+    if Q.shape[1] != K.shape[1]:
+        raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
+    _validate_blocks(blocks, n)
     return _blockwise(Q, K, V, blocks, scale)[0]
 
 
@@ -190,15 +153,9 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     -> GEMM on the operands of :func:`_folded`, which carry ``-c`` into the
     logits and the row sum into the output, so nothing is rescaled along
     the way, however a row's keys are split.  Last, one division by the
-    row sums.
+    row sums.  Its arguments come unchecked, as the block builds them.
     """
-    Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
-    if K.shape[0] != n or V.shape[0] != n:
-        raise ValueError(f"K/V must have {n} rows, got {K.shape[0]}/{V.shape[0]}")
-    if Q.shape[1] != K.shape[1]:
-        raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
-    _validate_blocks(blocks, n)
     if scale is None:
         scale = _default_scale(K.shape[1])
     dt = np.result_type(Q, K, V)
@@ -328,6 +285,130 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
             dK[ks] += (Qs[qs].T @ dS).T
     dQ *= scale
     return dQ, dK, dV
+
+
+def _attend(Q, K, V, scale, level_term=None):
+    """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
+    and each query row's log-sum-exp of its scaled logits, from which
+    :func:`_cross_head_bwd` recomputes the weights.  Walks tiles of
+    ``_CROSS_TILE`` rows through one reused logits buffer, each filled by
+    :func:`_cross_logits`."""
+    n, L = Q.shape[0], K.shape[0]
+    dt, term = np.result_type(Q, K), None
+    if level_term is not None:
+        table, _, first = level_term
+        dt = np.result_type(dt, table)
+        term = np.empty((min(_CROSS_TILE, n - first), L), dtype=table.dtype)  # rows >= first only
+    out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
+    peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
+    buf = np.empty((min(_CROSS_TILE, n), L), dtype=dt)
+    for rows, _ in _tiles(0, n, 0, L, _CROSS_TILE, L):
+        logits = _cross_logits(buf[: rows.stop - rows.start], Q, K, rows, level_term, term, scale)
+        row_max = logits.max(axis=1, keepdims=True)
+        logits -= row_max
+        np.exp(logits, out=logits)
+        row_sum = logits.sum(axis=1, keepdims=True)
+        logits /= row_sum
+        np.matmul(logits, V, out=out[rows])
+        peak[rows], total[rows] = row_max[:, 0], row_sum[:, 0]
+    np.log(total, out=total)
+    total += peak  # the log-sum-exp
+    return out, total
+
+
+def _cross_logits(logits, Q, K, rows, level_term, term, scale):
+    """(Q[rows] K^T [+ level term]) * scale, the logits of a tile of both
+    cross-attention walks, into ``logits``.  ``level_term=(table, index,
+    first)`` adds ``table[index[i]]``, the relational levels * s * r stored
+    once per distinct row, to every query row ``i >= first``, gathered
+    through the front rows of ``term``; earlier rows have all-zero levels."""
+    np.matmul(Q[rows], K.T, out=logits)
+    if level_term is not None:
+        table, index, first = level_term
+        lo = max(rows.start, first)
+        if lo < rows.stop:
+            t = term[: rows.stop - lo]
+            np.take(table, index[lo : rows.stop], axis=0, out=t, mode="clip")
+            logits[lo - rows.start :] += t
+    logits *= logits.dtype.type(scale)
+    return logits
+
+
+def _level_term(qc, kc, spec: LayoutSpec, cfg: AttnConfig, patches):
+    """A head's pooled queries (``qc``'s means over the d x d patches of
+    ``patches``: token counts, each token's patch, level rows), ``sim`` =
+    pooled kc^T and the level term :func:`_cross_logits` reads: the table
+    levels * |sim| * r by patch, each token's patch, the first condition row."""
+    cells, row_patch, levels = patches
+    pooled = _patch_sum(qc, spec, cfg.d) / cells
+    sim = pooled @ kc.T
+    table = np.abs(sim)
+    table *= table.dtype.type(cfg.r)
+    table *= levels  # level * (s * r), as the dense kernel's levels * s * r
+    return pooled, sim, (table, row_patch, spec.n_video_tokens)
+
+
+def _cross_rows(L: int) -> int:
+    """Row tile height of :func:`_cross_head_bwd` for a caption of ``L``
+    tokens: about 32768 logits (256 KiB of float64) per buffer, and at
+    least 64 rows, so a long caption's tiles stay no larger than a short
+    one's until L passes 512."""
+    return max(64, 32768 // L)
+
+
+def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
+    """One cross-attention head's gradients w.r.t. its output projection
+    ``co`` and its qc, kc and vc, from its queries, keys, values and row
+    log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
+    Overwrites ``qc``.
+
+    Walks tiles of :func:`_cross_rows` rows and recomputes each tile's
+    weights P = exp(logits - lse) by the forward's code, and from them its
+    output a = P vc, instead of keeping either; with D = rowsum(ga * a) for
+    ga = gx co^T, the gradient of the logits before ``scale`` is dS = P *
+    (ga vc^T - D).  A condition row's level term levels * |sim| * r has the
+    gradient W = dS * sign(sim) * levels * r: each tile adds W^T pooled
+    into kc's gradient and writes W kc over its rows of qc, which it no
+    longer needs, and after the walk the patch means of those rows flow
+    back to every row of their patch.  No buffer spans more than a tile."""
+    cells, row_patch, levels = patches
+    n, L, first = qc.shape[0], kc.shape[0], spec.n_video_tokens
+    pooled, slope, level_term = _level_term(qc, kc, spec, cfg, patches)
+    np.sign(slope, out=slope)  # sim, then d table / d sim
+    slope *= levels
+    slope *= cfg.r
+    gco, gqc = np.zeros_like(co), np.empty_like(qc)
+    gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
+    tile = _cross_rows(L)
+    p_buf, ds_buf = np.empty((min(tile, n), L)), np.empty((min(tile, n), L))
+    for rows, _ in _tiles(0, n, 0, L, tile, L):
+        m, lo = rows.stop - rows.start, max(rows.start, first)
+        patch = row_patch[lo : rows.stop]  # of the tile's condition rows
+        P, dS = p_buf[:m], ds_buf[:m]
+        _cross_logits(P, qc, kc, rows, level_term, dS, scale)  # dS serves as the gather's scratch
+        P -= lse[rows, None]
+        np.exp(P, out=P)
+        a = P @ vc
+        ga = gx[rows] @ co.T
+        gco += a.T @ gx[rows]
+        gvc += (ga.T @ P).T
+        np.matmul(ga, vc.T, out=dS)
+        dS -= np.einsum("ij,ij->i", ga, a)[:, None]
+        dS *= P
+        np.matmul(dS, kc, out=gqc[rows])
+        gkc += (qc[rows].T @ dS).T
+        if len(patch):
+            W = p_buf[: len(patch)]
+            np.take(slope, patch, axis=0, out=W, mode="clip")
+            W *= dS[lo - rows.start :]
+            gkc += (pooled[patch].T @ W).T
+            np.matmul(W, kc, out=qc[lo : rows.stop])
+    del level_term, slope
+    qc[:first] = 0.0  # the video rows have no level term
+    gqc += (_patch_sum(qc, spec, cfg.d) / cells)[row_patch]
+    gqc *= scale
+    gkc *= scale
+    return gco, gqc, gkc, gvc
 
 
 def _patch_sum(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Toy relational transformer block with a flow-matching objective.
 
-One block = pre-norm masked self-attention (rotary positions, block-streaming
-kernel) -> pre-norm relational cross-attention (level mask with pooled
-scaling) -> pre-norm pointwise MLP, each followed by a residual add.  One
-forward, on one kernel per attention, serves the production block, the plain
-baseline and the taped path; its hand-derived backward supports
-finite-difference verification and the demo trainer.
+One block = pre-norm masked self-attention (rotary positions) -> pre-norm
+relational cross-attention (level mask with pooled scaling) -> pre-norm
+pointwise MLP, each followed by a residual add.  Here live the projections,
+the residual stream and the MLP, around the kernels of :mod:`relattn.attention`.
+One forward serves the production block, the plain baseline and the taped
+path; its hand-derived backward supports finite-difference checks and training.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from .attention import (
     AttnConfig,
     _attend,
     _blockwise,
+    _cross_head_bwd,
     _default_scale,
     _folded,
     _folded_bwd,
+    _level_term,
     _patch_geometry,
-    _patch_sum,
+    _validate_blocks,
 )
 from .layout import LayoutSpec
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
@@ -287,9 +289,8 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
     sub-layer added back to its input.
 
-    Self-attention streams over the block cover ``blocks``; cross-attention
-    reads its level term from a table with one row per d x d patch, and the
-    video rows, whose level is zero, skip it.  A ``tape`` dict records what
+    Self-attention streams over the block cover ``blocks``, cross-attention
+    adds the level term of :func:`_level_term`.  A ``tape`` dict records what
     :func:`_backward` cannot cheaply rebuild: the normalized inputs ``u``,
     ``u2``, ``u3`` with their ``inv`` scales and ``text``; per head the
     self-attention output and row log-sum-exp; and per head the
@@ -317,7 +318,6 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
 
     cross_tape = []
     if text.shape[0] > 0:
-        cells, row_patch, levels = patches
         scale = _default_scale(w.head_dim)
         u2, inv2 = _layer_norm(x1)
         ca = np.zeros_like(x1)
@@ -325,13 +325,11 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
             qc = u2 @ w.cq[h]
             kc = text @ w.ck[h]
             vc = text @ w.cv[h]
-            pooled = _patch_sum(qc, spec, cfg.d) / cells
-            level_term = (_level_table(pooled @ kc.T, cfg, levels), row_patch, spec.n_video_tokens)
-            a, lse = _attend(qc, kc, vc, scale, level_term)
+            a, lse = _attend(qc, kc, vc, scale, _level_term(qc, kc, spec, cfg, patches)[2])
             if tape is not None:
                 cross_tape.append((kc, vc, lse))
             ca += a @ w.co[h]
-        del qc, kc, vc, pooled, level_term, a, lse
+        del qc, kc, vc, a, lse
         ca += x1
         x2 = ca
     else:
@@ -353,16 +351,6 @@ def _forward(w: BlockWeights, x, text, spec, cfg, rot, blocks, patches, tape=Non
     return y
 
 
-def _level_table(sim, cfg, levels):
-    """The level term of one cross-attention head, one row per d x d patch:
-    levels * |sim| * r, for ``sim`` = pooled kc^T and ``pooled`` the patch
-    means of its queries."""
-    table = np.abs(sim)
-    table *= table.dtype.type(cfg.r)
-    table *= levels  # level * (s * r), as the dense kernel's levels * s * r
-    return table
-
-
 def block_forward(
     weights: BlockWeights,
     z_tokens: np.ndarray,
@@ -377,7 +365,10 @@ def block_forward(
     Computation follows the dtype of ``z_tokens``; the self-attention uses
     the block-streaming kernel over the mask's block cover.
     """
-    csam = csam if csam is not None else build_csam(spec)
+    if csam is None:
+        csam = build_csam(spec)
+    else:
+        _validate_blocks(csam.blocks, spec.n_tokens)
     mcam = mcam if mcam is not None else build_mcam(spec)
     w, x, text, rot, patches = _prepare(weights, z_tokens, text, spec, cfg, mcam)
     y = _forward(w, x, text, spec, cfg, rot, csam.blocks, patches)
@@ -415,11 +406,10 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     rotated queries, keys and values from ``u`` by :func:`_self_qkv`, folded
     by :func:`_folded` as the forward folds them but with the row
     log-sum-exp as the shift, beside ``[g, -D]`` for D = rowsum(g a), for
-    :func:`_folded_bwd`.  Consumes ``tape``: each
-    step pops its entries and drops them once it is done with them, so the
-    walk back holds only the tape still ahead of it.  ``gy`` becomes ``gx``,
-    the gradient at the residual stream, updated in place past each
-    sub-layer."""
+    :func:`_folded_bwd`.  Consumes ``tape``: each step pops its entries and
+    drops them once it is done with them, so the walk back holds only the
+    tape still ahead of it.  ``gy`` becomes ``gx``, the gradient at the
+    residual stream, updated in place past each sub-layer."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
     text = tape.pop("text")
     scale = _default_scale(w.head_dim)
@@ -484,81 +474,6 @@ def _backward(w: BlockWeights, tape, spec, cfg, rot, blocks, patches, gy):
     return g, gx, gtext
 
 
-def _cross_rows(L: int) -> int:
-    """Row tile height of :func:`_cross_head_bwd` for a caption of ``L``
-    tokens: about 32768 logits (256 KiB of float64) per buffer, and at
-    least 64 rows, so a long caption's tiles stay no larger than a short
-    one's until L passes 512."""
-    return max(64, 32768 // L)
-
-
-def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
-    """One cross-attention head's gradients w.r.t. its output projection
-    ``co`` and its qc, kc and vc, from its queries, keys, values and row
-    log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
-    Overwrites ``qc``.
-
-    Walks row tiles of :func:`_cross_rows` rows and recomputes each tile's
-    weights P = exp((qc kc^T + level term) scale - lse), and from them the
-    tile's output a = P vc, instead of keeping either; with D =
-    rowsum(ga * a) for ga = gx co^T, the gradient of the logits before
-    ``scale`` is dS = P * (ga vc^T - D).  The level term of a condition row
-    is levels * |pooled kc^T| * r on its patch, pooled = the patch mean of
-    qc, so its gradient is W = dS * sign(pooled kc^T) * levels * r per row:
-    each tile adds W^T pooled into kc's gradient and writes W kc over its
-    rows of qc, which it no longer needs, and after the walk the patch
-    means of those rows (:func:`_patch_sum`) flow back to every row of
-    their patch.  No buffer spans more than one tile of rows."""
-    cells, row_patch, levels = patches
-    n, L = qc.shape[0], kc.shape[0]
-    first = spec.n_video_tokens
-    pooled = _patch_sum(qc, spec, cfg.d) / cells
-    slope = pooled @ kc.T  # sim, then d table / d sim, one row per patch
-    table = _level_table(slope, cfg, levels)
-    np.sign(slope, out=slope)
-    slope *= levels
-    slope *= cfg.r
-    gco = np.zeros_like(co)
-    gqc = np.empty_like(qc)
-    gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
-    tile = _cross_rows(L)
-    p_buf, ds_buf = np.empty((min(tile, n), L)), np.empty((min(tile, n), L))
-    for q0 in range(0, n, tile):
-        rows = slice(q0, min(q0 + tile, n))
-        m, lo = rows.stop - q0, max(q0, first)
-        patch = row_patch[lo : rows.stop]  # of the tile's condition rows
-        P, dS = p_buf[:m], ds_buf[:m]
-        np.matmul(qc[rows], kc.T, out=P)
-        if len(patch):
-            term = ds_buf[: len(patch)]
-            np.take(table, patch, axis=0, out=term, mode="clip")
-            P[lo - q0 :] += term
-        P *= scale
-        P -= lse[rows, None]
-        np.exp(P, out=P)
-        a = P @ vc
-        ga = gx[rows] @ co.T
-        gco += a.T @ gx[rows]
-        gvc += (ga.T @ P).T
-        np.matmul(ga, vc.T, out=dS)
-        dS -= np.einsum("ij,ij->i", ga, a)[:, None]
-        dS *= P
-        np.matmul(dS, kc, out=gqc[rows])
-        gkc += (qc[rows].T @ dS).T
-        if len(patch):
-            W = p_buf[: len(patch)]
-            np.take(slope, patch, axis=0, out=W, mode="clip")
-            W *= dS[lo - q0 :]
-            gkc += (pooled[patch].T @ W).T
-            np.matmul(W, kc, out=qc[lo : rows.stop])
-    del table, slope
-    qc[:first] = 0.0  # the video rows have no level term
-    gqc += (_patch_sum(qc, spec, cfg.d) / cells)[row_patch]
-    gqc *= scale
-    gkc *= scale
-    return gco, gqc, gkc, gvc
-
-
 def _as_target(target, shape):
     """``target`` as a finite float64 array of the output's ``shape``: numpy
     would broadcast an (n, 1) target over every channel."""
@@ -573,19 +488,19 @@ def _as_target(target, shape):
 def _row_loss(y, target, loss_rows):
     """Mean squared error over ``loss_rows`` (all rows when None), with the
     rows (None for all) and their differences for the output gradient."""
-    if loss_rows is None:
+    rows, n = None, y.shape[0]
+    if loss_rows is not None:
+        rows = np.asarray(loss_rows)
+        # an empty selection would average nothing into NaN, numpy indexing
+        # would wrap a negative row to the end, and the output gradient keeps
+        # one copy of a repeated row where the loss counts each
+        ok = rows.size and np.issubdtype(rows.dtype, np.integer) and rows.min() >= 0 and rows.max() < n
+        if not (ok and np.unique(rows).size == rows.size):
+            raise ValueError(f"loss_rows must be a non-empty array of distinct integer rows in [0, {n})")
+        y, target = y[rows], target[rows]
+    with np.errstate(over="ignore"):  # a loss past the dtype's range is inf
         diff = y - target
-        return float(np.mean(diff * diff)), None, diff
-    n = y.shape[0]
-    rows = np.asarray(loss_rows)
-    # an empty selection would average nothing into NaN, numpy indexing
-    # would wrap a negative row to the end, and the output gradient keeps
-    # one copy of a repeated row where the loss counts each
-    ok = rows.size and np.issubdtype(rows.dtype, np.integer) and rows.min() >= 0 and rows.max() < n
-    if not (ok and np.unique(rows).size == rows.size):
-        raise ValueError(f"loss_rows must be a non-empty array of distinct integer rows in [0, {n})")
-    diff = y[rows] - target[rows]
-    return float(np.mean(diff * diff)), rows, diff
+        return float(np.mean(diff * diff)), rows, diff
 
 
 def loss_and_gradients(
@@ -601,7 +516,8 @@ def loss_and_gradients(
 
     ``loss_rows``, when given, restricts the mean-squared error to those
     output rows, a non-empty array of distinct integer rows in [0, n); the
-    default is the full :func:`fm_loss`.
+    default is the full :func:`fm_loss`.  A non-finite loss raises
+    ``ValueError`` before the backward runs.
     """
     w, x, text, rot, patches = _prepare(weights, z_tokens, text, spec, cfg, build_mcam(spec), np.float64)
     target = _as_target(target, x.shape)
@@ -609,6 +525,8 @@ def loss_and_gradients(
     tape: dict = {}
     y = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
     loss, rows, diff = _row_loss(y, target, loss_rows)
+    if not math.isfinite(loss):
+        raise ValueError(f"non-finite loss {loss}")
     del y  # the backward does not need it
     diff *= 2.0
     diff /= diff.size  # 2 diff / diff.size, the gradient of the mean
@@ -683,8 +601,8 @@ def grad_check(
         return _row_loss(y, target, loss_rows)[0]
 
     loss, grads, gx, gtext = loss_and_gradients(w, x, text, spec, cfg, target, loss_rows)
-    if not math.isfinite(loss) or any(not np.isfinite(v).all() for v in grads.values()):
-        raise ValueError("non-finite loss or gradient")
+    if any(not np.isfinite(v).all() for v in grads.values()):
+        raise ValueError("non-finite gradient")
 
     tensors: dict[str, np.ndarray] = dict(w.arrays())
     analytic: dict[str, np.ndarray] = dict(grads)

@@ -21,7 +21,7 @@ from relattn.block import (
     sample_time_logit_normal,
 )
 from relattn.corpus import make_spec
-from relattn.masks import CsamMask
+from relattn.masks import CsamMask, build_csam
 from relattn.reference import decompose_blocks
 
 from oracles import fm_loss_oracle
@@ -359,6 +359,27 @@ def test_non_finite_z_tokens_rejected_by_name(setup, bad):
     x[0, 0] = bad
     with pytest.raises(ValueError, match="z_tokens contains non-finite entries"):
         loss_and_gradients(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
+
+
+@pytest.mark.parametrize("fn", [loss_and_gradients, grad_check])
+def test_overflowing_loss_is_rejected_before_the_backward(fn):
+    # the output stays finite, near 3e300, but its square overflows
+    spec = make_spec(1, 2, 3, bg=1, groups=(1,))
+    rng = np.random.default_rng(18)
+    weights = init_weights(rng, channels=6, text_channels=5, dtype=np.float64)
+    weights.w2[...] = 1e300
+    x = rng.standard_normal((spec.n_tokens, 6))
+    text = rng.standard_normal((spec.text_len, 5))
+    assert np.isfinite(block_forward(weights, x, text, spec, AttnConfig())).all()
+    with pytest.raises(ValueError, match="non-finite loss"):
+        fn(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
+
+
+def test_block_forward_rejects_a_cover_of_another_layout(setup):
+    spec, weights, x, text = setup
+    small = make_spec(1, 1, 2, bg=1)
+    with pytest.raises(ValueError, match="covered by no block"):
+        block_forward(weights, x, text, spec, AttnConfig(), csam=build_csam(small))
 
 
 @pytest.mark.parametrize(

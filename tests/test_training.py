@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relattn import attention, block
+from relattn import attention
 from relattn.attention import AttnConfig, _blockwise, _folded, _folded_bwd
 from relattn.block import (
     _forward,
@@ -25,6 +25,7 @@ from relattn.masks import Block, CsamMask, build_csam, build_mcam
 from relattn.reference import compute_scaling_s, decompose_blocks, masked_self_attention_naive
 
 from oracles import (
+    attention_oracle,
     cross_attention_grads_oracle,
     csam_oracle,
     masked_attention_grads_oracle,
@@ -212,13 +213,12 @@ def test_grad_check_on_generated_layouts(spec):
     assert report.max_rel_error <= 1e-3
 
 
-@pytest.mark.parametrize("tile", [1, 3, 7])
-@pytest.mark.parametrize("d", [1, 2, 3, 8])
-def test_streamed_cross_backward_matches_dense_oracle(tile, d):
-    # 20 video rows: tiles of 3 and 7 rows straddle the first condition
-    # row, and patch runs of d tokens along a 5-token grid row split
-    # across tiles; at d=8 the patch is wider than the 4x5 frame, so one
-    # ragged patch takes rows from every row tile of its frame
+def _cross_head(d):
+    """One cross-attention head on a layout of 20 video rows: tiles of 3 and
+    7 rows straddle the first condition row, and patch runs of d tokens
+    along a 5-token grid row split across tiles; at d=8 the patch is wider
+    than the 4x5 frame, so one ragged patch takes rows from every row tile
+    of its frame."""
     spec = make_spec(1, 4, 5, bg=1, objs=1, groups=(2,), span_len=3, gap=1)
     assert spec.n_video_tokens % 3 and spec.n_video_tokens % 7
     cfg = AttnConfig(r=0.8, d=d)
@@ -226,20 +226,41 @@ def test_streamed_cross_backward_matches_dense_oracle(tile, d):
     _, _, _, _, patches = _prepare(w, x, text, spec, cfg, build_mcam(spec), np.float64)
     rng = np.random.default_rng(9)
     qc, kc, vc = (rng.standard_normal((m, w.head_dim)) for m in (spec.n_tokens, spec.text_len, spec.text_len))
-    co, gx = w.co[0], rng.standard_normal(x.shape)
-    scale = 1 / np.sqrt(w.head_dim)
     levels = mcam_oracle(spec)
-    lse = _logsumexp((qc @ kc.T + levels * scaling_oracle(qc, kc, spec, d) * cfg.r) * scale)
+    additive = levels * scaling_oracle(qc, kc, spec, d) * cfg.r
+    return spec, cfg, w, patches, (qc, kc, vc), levels, additive, rng.standard_normal(x.shape)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_streamed_cross_forward_matches_dense_oracle(tile, d):
+    spec, cfg, w, patches, (qc, kc, vc), _, additive, _ = _cross_head(d)
+    scale = 1 / np.sqrt(w.head_dim)
+    level_term = attention._level_term(qc, kc, spec, cfg, patches)[2]
+    with mock.patch.object(attention, "_CROSS_TILE", tile):
+        out, lse = attention._attend(qc, kc, vc, scale, level_term)
+    want = attention_oracle(qc, kc, vc, additive=additive, scale=scale)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lse, _logsumexp((qc @ kc.T + additive) * scale), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_streamed_cross_backward_matches_dense_oracle(tile, d):
+    spec, cfg, w, patches, (qc, kc, vc), levels, additive, gx = _cross_head(d)
+    co = w.co[0]
+    scale = 1 / np.sqrt(w.head_dim)
+    lse = _logsumexp((qc @ kc.T + additive) * scale)
     want = cross_attention_grads_oracle(qc, kc, vc, co, gx, spec, levels, cfg.r, d, scale)
-    with mock.patch.object(block, "_cross_rows", lambda L: tile):
-        got = block._cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale)
+    with mock.patch.object(attention, "_cross_rows", lambda L: tile):
+        got = attention._cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale)
     for g, ref in zip(got, want):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
 
 
 def test_grad_check_with_a_caption_longer_than_one_cross_tile():
     spec = make_spec(1, 6, 6, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
-    assert spec.text_len == 312 and spec.n_tokens > 2 * block._cross_rows(spec.text_len)
+    assert spec.text_len == 312 and spec.n_tokens > 2 * attention._cross_rows(spec.text_len)
     w, x, text, target = _problem(spec, 5, 6, 4, n_heads=2, head_dim=6, hidden=8)
     report = grad_check(w, x, text, spec, AttnConfig(d=2), target, max_coords=24, check_inputs=True)
     assert report.max_rel_error <= 1e-3
