@@ -24,7 +24,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -334,18 +334,18 @@ def _cross_logits(logits, Q, K, rows, level_term, term, scale):
     return logits
 
 
-def _level_term(qc, kc, spec: LayoutSpec, cfg: AttnConfig, patches):
+def _level_term(qc, kc, plan):
     """A head's pooled queries (``qc``'s means over the d x d patches of
-    ``patches``: token counts, each token's patch, level rows), ``sim`` =
-    pooled kc^T and the level term :func:`_cross_logits` reads: the table
-    levels * |sim| * r by patch, each token's patch, the first condition row."""
-    cells, row_patch, levels = patches
-    pooled = _patch_sum(qc, spec, cfg.d) / cells
+    ``plan``), ``sim`` = pooled kc^T and the level term :func:`_cross_logits`
+    reads: the table levels * |sim| * r by patch, each token's patch, the
+    first condition row."""
+    cells, row_patch, levels = plan.patches
+    pooled = _patch_sum(qc, plan.spec, plan.d) / cells
     sim = pooled @ kc.T
     table = np.abs(sim)
-    table *= table.dtype.type(cfg.r)
+    table *= table.dtype.type(plan.r)
     table *= levels  # level * (s * r), as the dense kernel's levels * s * r
-    return pooled, sim, (table, row_patch, spec.n_video_tokens)
+    return pooled, sim, (table, row_patch, plan.spec.n_video_tokens)
 
 
 def _cross_rows(L: int) -> int:
@@ -356,7 +356,7 @@ def _cross_rows(L: int) -> int:
     return max(64, 32768 // L)
 
 
-def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
+def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
     """One cross-attention head's gradients w.r.t. its output projection
     ``co`` and its qc, kc and vc, from its queries, keys, values and row
     log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
@@ -371,12 +371,12 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
     into kc's gradient and writes W kc over its rows of qc, which it no
     longer needs, and after the walk the patch means of those rows flow
     back to every row of their patch.  No buffer spans more than a tile."""
-    cells, row_patch, levels = patches
-    n, L, first = qc.shape[0], kc.shape[0], spec.n_video_tokens
-    pooled, slope, level_term = _level_term(qc, kc, spec, cfg, patches)
+    cells, row_patch, levels = plan.patches
+    n, L, first = qc.shape[0], kc.shape[0], plan.spec.n_video_tokens
+    pooled, slope, level_term = _level_term(qc, kc, plan)
     np.sign(slope, out=slope)  # sim, then d table / d sim
     slope *= levels
-    slope *= cfg.r
+    slope *= plan.r
     gco, gqc = np.zeros_like(co), np.empty_like(qc)
     gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
     tile = _cross_rows(L)
@@ -405,7 +405,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale):
             np.matmul(W, kc, out=qc[lo : rows.stop])
     del level_term, slope
     qc[:first] = 0.0  # the video rows have no level term
-    gqc += (_patch_sum(qc, spec, cfg.d) / cells)[row_patch]
+    gqc += (_patch_sum(qc, plan.spec, plan.d) / cells)[row_patch]
     gqc *= scale
     gkc *= scale
     return gco, gqc, gkc, gvc
@@ -421,11 +421,29 @@ def _patch_sum(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
     return sums.reshape(-1, x.shape[1])
 
 
-def _patch_geometry(spec: LayoutSpec, d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Token count of every d x d patch in :func:`_patch_sum` order, and each
-    token's patch as a row index into it: indexing a patch array with it
-    repeats each patch row over the patch's tokens."""
-    cells = _patch_sum(np.ones((spec.n_tokens, 1), dtype), spec, d)
+class _Plan(NamedTuple):
+    """What the block derives from the layout alone, built once per call by
+    :func:`_layout_plan`; ``d`` and ``r`` are the level term's."""
+
+    spec: LayoutSpec
+    d: int
+    r: float
+    blocks: tuple[Block, ...]
+    rot: tuple[np.ndarray, np.ndarray]
+    patches: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _layout_plan(spec: LayoutSpec, cfg: AttnConfig, blocks, rot, entity_levels) -> _Plan:
+    """The plan of ``spec`` with the cover ``blocks`` and the rotary table
+    ``rot`` (cos, sin), whose dtype the level term's patches share: the token
+    count of each d x d patch in :func:`_patch_sum` order, each token's patch
+    as a row index into it, and each patch's row of ``entity_levels``."""
+    d = cfg.d
+    cells = _patch_sum(np.ones((spec.n_tokens, 1), rot[0].dtype), spec, d)
     per_row, frames = -(-spec.W // d), spec.T + spec.n_entities
+    per_frame = len(cells) // frames
     in_frame = ((np.arange(spec.H) // d)[:, None] * per_row + np.arange(spec.W) // d).ravel()
-    return cells, (np.arange(frames)[:, None] * (len(cells) // frames) + in_frame).ravel()
+    row_patch = (np.arange(frames)[:, None] * per_frame + in_frame).ravel()
+    levels = np.zeros((len(cells), spec.text_len), dtype=np.int8)  # all zero in the video frames
+    levels[spec.T * per_frame :] = np.repeat(entity_levels, per_frame, axis=0)
+    return _Plan(spec, d, cfg.r, blocks, rot, (cells, row_patch, levels))

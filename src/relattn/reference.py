@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_geometry, _patch_sum
+from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_sum
 from .layout import SUBJECT_KINDS, LayoutSpec
 from .masks import Block, CsamMask
 
@@ -90,8 +90,11 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
     if Q.shape[1] != K_text.shape[1]:
         raise ValueError(f"Q and K_text feature dims differ: {Q.shape[1]} vs {K_text.shape[1]}")
 
-    cells, row_patch = _patch_geometry(spec, d, Q.dtype)
-    return np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)[row_patch]
+    cells = _patch_sum(np.ones((spec.n_tokens, 1), Q.dtype), spec, d)
+    s = np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)
+    frames, rows, cols = spec.T + spec.n_entities, -(-spec.H // d), -(-spec.W // d)
+    frame, i, j = np.indices((frames, spec.H, spec.W)).reshape(3, -1)  # of each token
+    return s.reshape(frames, rows, cols, K_text.shape[0])[frame, i // d, j // d]
 
 
 def relational_cross_attention(

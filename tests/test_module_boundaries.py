@@ -2,7 +2,8 @@
 
 The modules the block runs must not reach back into the reference module,
 so that everything ``block_forward`` and ``loss_and_gradients`` execute can
-be read without it.
+be read without it.  Within them, the layout plan is built in one place and
+the pooling format of the level term stays in ``relattn.attention``.
 """
 
 import ast
@@ -67,3 +68,23 @@ def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in relattn.__all__
         assert not hasattr(relattn, name)
+
+
+def test_block_builds_the_plan_in_one_function():
+    tree = ast.parse((SRC / "block.py").read_text())
+    callers: dict[str, set[str]] = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(fn.name)
+    for name in ("build_csam", "build_mcam", "_validate_blocks", "rotary_table", "_layout_plan"):
+        assert callers.get(name) == {"_prepare"}, name
+
+
+def test_block_leaves_the_pooling_format_to_attention():
+    tree = ast.parse((SRC / "block.py").read_text())
+    _, names = _imports_and_definitions(tree)
+    assert not names & {"_patch_sum", "_patch_geometry"}
+    # the plan's patches are read by attention's level term alone
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "patches" for node in ast.walk(tree))

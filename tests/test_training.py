@@ -223,20 +223,20 @@ def _cross_head(d):
     assert spec.n_video_tokens % 3 and spec.n_video_tokens % 7
     cfg = AttnConfig(r=0.8, d=d)
     w, x, text, _ = _problem(spec, 8)
-    _, _, _, _, patches = _prepare(w, x, text, spec, cfg, build_mcam(spec), np.float64)
+    _, _, _, plan = _prepare(w, x, text, spec, cfg, dtype=np.float64)
     rng = np.random.default_rng(9)
     qc, kc, vc = (rng.standard_normal((m, w.head_dim)) for m in (spec.n_tokens, spec.text_len, spec.text_len))
     levels = mcam_oracle(spec)
     additive = levels * scaling_oracle(qc, kc, spec, d) * cfg.r
-    return spec, cfg, w, patches, (qc, kc, vc), levels, additive, rng.standard_normal(x.shape)
+    return spec, cfg, w, plan, (qc, kc, vc), levels, additive, rng.standard_normal(x.shape)
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_streamed_cross_forward_matches_dense_oracle(tile, d):
-    spec, cfg, w, patches, (qc, kc, vc), _, additive, _ = _cross_head(d)
+    spec, cfg, w, plan, (qc, kc, vc), _, additive, _ = _cross_head(d)
     scale = 1 / np.sqrt(w.head_dim)
-    level_term = attention._level_term(qc, kc, spec, cfg, patches)[2]
+    level_term = attention._level_term(qc, kc, plan)[2]
     with mock.patch.object(attention, "_CROSS_TILE", tile):
         out, lse = attention._attend(qc, kc, vc, scale, level_term)
     want = attention_oracle(qc, kc, vc, additive=additive, scale=scale)
@@ -247,13 +247,13 @@ def test_streamed_cross_forward_matches_dense_oracle(tile, d):
 @pytest.mark.parametrize("tile", [1, 3, 7])
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_streamed_cross_backward_matches_dense_oracle(tile, d):
-    spec, cfg, w, patches, (qc, kc, vc), levels, additive, gx = _cross_head(d)
+    spec, cfg, w, plan, (qc, kc, vc), levels, additive, gx = _cross_head(d)
     co = w.co[0]
     scale = 1 / np.sqrt(w.head_dim)
     lse = _logsumexp((qc @ kc.T + additive) * scale)
     want = cross_attention_grads_oracle(qc, kc, vc, co, gx, spec, levels, cfg.r, d, scale)
     with mock.patch.object(attention, "_cross_rows", lambda L: tile):
-        got = attention._cross_head_bwd(qc, kc, vc, lse, co, gx, spec, cfg, patches, scale)
+        got = attention._cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale)
     for g, ref in zip(got, want):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
 
@@ -280,11 +280,10 @@ def test_training_loss_is_the_float64_forward_loss():
 def test_taping_leaves_the_forward_output_unchanged(spec):
     cfg = AttnConfig()
     w, x, text, _ = _problem(spec, 6)
-    w, x, text, rot, patches = _prepare(w, x, text, spec, cfg, build_mcam(spec), np.float64)
-    blocks = build_csam(spec).blocks
+    w, x, text, plan = _prepare(w, x, text, spec, cfg, dtype=np.float64)
     tape: dict = {}
-    taped = _forward(w, x, text, spec, cfg, rot, blocks, patches, tape)
-    assert taped.tobytes() == _forward(w, x, text, spec, cfg, rot, blocks, patches).tobytes()
+    taped = _forward(w, x, text, plan, tape)
+    assert taped.tobytes() == _forward(w, x, text, plan).tobytes()
     assert set(tape) == {"text", "u", "inv", "self", "u2", "inv2", "cross", "u3", "inv3"}
     # each cross-attention head tapes its keys, values and the log-sum-exp
     # of each row's scaled logits, level term included
