@@ -6,12 +6,14 @@ cross-attention (:func:`_attend`, :func:`_cross_head_bwd`), whose level term
 directions.  The dense reference kernels live in :mod:`relattn.reference`.
 
 Every walk visits the tiles of :func:`_tiles`; cross-attention's span the
-whole caption.  Self-attention keeps an online softmax for float32, whose
-output bits the README loss pins, in tiles of ``_SELF_TILE`` rows x a whole
-block.  Other dtypes fix each query row's softmax stabilizer before the walk
-and share the backward's folded GEMM operands (:func:`_folded`) and its 2-D
-tiles of ``_BWD_TILE`` rows x at most ``_KEY_TILE`` keys, so no float64
-buffer grows with the width of a block.
+whole caption.  Float32 self-attention, whose output bits the README loss
+pins, takes each query row's softmax in one tile of ``_SELF_TILE`` rows x a
+whole block when its cover visits each row once, as the layout's own cover
+does, and writes the output over the queries it has read.  Other dtypes and
+covers fix each query row's softmax stabilizer before the walk and share the
+backward's folded GEMM operands (:func:`_folded`) and its 2-D tiles of
+``_BWD_TILE`` rows x at most ``_KEY_TILE`` keys, so no float64 buffer grows
+with the width of a block.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -33,7 +35,7 @@ from .masks import Block
 
 # query rows per tile: the streaming kernels hold one tile x keys logits
 # buffer at a time instead of a full query x key matrix.  _SELF_TILE is the
-# height of the float32 online softmax and stays frozen: its output bits,
+# height of the float32 one-pass softmax and stays frozen: its output bits,
 # pinned by the README loss, moved at n=7488 for heights of 16-128 rows.
 _SELF_TILE = 256
 _CROSS_TILE = 128
@@ -120,11 +122,12 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
 
     The result matches the dense masked kernel for any block visit order.
     Each block is walked in tiles through one reused logits buffer the size
-    of the cover's largest tile, whatever the sequence length: float32 keeps
-    a running max and normalizer per query row (online softmax) over tiles
-    of at most 256 rows x a whole block; other dtypes fix each row's softmax
-    stabilizer before the walk, in tiles of at most 64 rows x 512 keys (see
-    :func:`_blockwise`).
+    of the cover's largest tile, whatever the sequence length: float32 over
+    a cover that visits each query row once takes each row's softmax whole
+    in tiles of at most 256 rows x a whole block; other dtypes and covers
+    fix each row's softmax stabilizer before the walk, in tiles of at most
+    64 rows x 512 keys (see :func:`_blockwise`).  The caller's arrays are
+    left as they are.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
@@ -133,18 +136,20 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
     if Q.shape[1] != K.shape[1]:
         raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
     _validate_blocks(blocks, n)
-    return _blockwise(Q, K, V, blocks, scale)[0]
+    # a copy of Q, which _blockwise may overwrite, in the common dtype
+    return _blockwise(Q.astype(np.result_type(Q, K, V), order="C"), K, V, blocks, scale)[0]
 
 
 def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
     of its scaled logits, from which :func:`_folded_bwd` recomputes weights.
 
-    float32 runs the online softmax of :func:`_online_blockwise` in tiles
-    of the frozen ``_SELF_TILE`` (256) rows, only because the README loss
-    and the pinned block outputs freeze its bits.  Every other dtype takes
-    three passes over the tiles of :func:`_tiles`, ``_BWD_TILE`` (64) rows
-    by at most ``_KEY_TILE`` (512) keys, the tiles its backward walks too.
+    float32 over a cover that visits each query row once, as every cover of
+    :func:`~relattn.masks.build_csam` does, takes :func:`_one_pass`, only
+    because the README loss and the pinned block outputs freeze its bits.
+    Every other dtype or cover takes three passes over the tiles of
+    :func:`_tiles`, ``_BWD_TILE`` (64) rows by at most ``_KEY_TILE`` (512)
+    keys, the tiles its backward walks too.
     First it fixes one stabilizer per query row, ``c = scale |q| max|k|``
     over the keys of the row's blocks: no logit of the row exceeds it, so
     ``exp`` cannot overflow, and the row's true max lies within ``2c``
@@ -153,14 +158,15 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     -> GEMM on the operands of :func:`_folded`, which carry ``-c`` into the
     logits and the row sum into the output, so nothing is rescaled along
     the way, however a row's keys are split.  Last, one division by the
-    row sums.  Its arguments come unchecked, as the block builds them.
+    row sums.  Its arguments come unchecked, as the block builds them, and
+    the float32 route writes its output over ``Q``.
     """
     n = Q.shape[0]
     if scale is None:
         scale = _default_scale(K.shape[1])
     dt = np.result_type(Q, K, V)
-    if dt == np.float32:
-        return _online_blockwise(Q, K, V, blocks, scale)
+    if dt == np.float32 and sum(b.q1 - b.q0 for b in blocks) == n:
+        return _one_pass(Q, K, V, blocks, scale)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
     buf = np.empty(_tile_size(blocks, _BWD_TILE, _KEY_TILE), dtype=dt)
@@ -196,31 +202,33 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     return acc[:, :-1] / acc[:, -1:], c + np.log(acc[:, -1])
 
 
-def _online_blockwise(Q, K, V, blocks: Sequence[Block], scale: float):
-    """:func:`_blockwise` for float32: a running max and normalizer per query
-    row, rescaled whenever a tile raises the max."""
+def _one_pass(Q, K, V, blocks: Sequence[Block], scale: float):
+    """:func:`_blockwise` for float32 over a cover that visits each query row
+    once, in tiles of ``_SELF_TILE`` rows x a whole block: a tile holds all
+    of its rows' logits, so each row takes its max, sum and log-sum-exp once.
+    A tile's output goes over the rows of ``Q`` its first GEMM has just read
+    (into a new array when V is wider or narrower than Q)."""
     n, dt = Q.shape[0], Q.dtype
     sc = dt.type(scale)
-    running_max = np.full(n, -np.inf, dtype=dt)
-    normalizer = np.zeros(n, dtype=dt)
-    acc = np.zeros((n, V.shape[1]), dtype=dt)
-    buf = np.empty(_tile_size(blocks, _SELF_TILE, n), dtype=np.result_type(Q, K))
+    out = Q if Q.shape[1] == V.shape[1] else np.empty((n, V.shape[1]), dtype=dt)
+    peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
+    buf = np.empty(_tile_size(blocks, _SELF_TILE, n), dtype=dt)
     for blk in blocks:
         # n keys per tile: one key chunk spans the whole block
         for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _SELF_TILE, n):
             logits = _view(buf, qs, ks)
             np.matmul(Q[qs], K[ks].T, out=logits)
             logits *= sc
-            new_max = np.maximum(running_max[qs], logits.max(axis=1))
-            carry = np.exp(running_max[qs] - new_max)
-            logits -= new_max[:, None]
+            peak[qs] = logits.max(axis=1)
+            logits -= peak[qs, None]
             np.exp(logits, out=logits)
-            acc[qs] *= carry[:, None]
-            acc[qs] += logits @ V[ks]
-            normalizer[qs] = normalizer[qs] * carry + logits.sum(axis=1)
-            running_max[qs] = new_max
-    acc /= normalizer[:, None]
-    return acc, running_max + np.log(normalizer)
+            total[qs] = logits.sum(axis=1)
+            np.matmul(logits, V[ks], out=out[qs])
+            out[qs] += 0.0  # -0.0 -> +0.0, as a sum from zeros gives
+            out[qs] /= total[qs, None]
+    np.log(total, out=total)
+    total += peak  # the log-sum-exp
+    return out, total
 
 
 def _tile_size(blocks: Sequence[Block], rows: int, cols: int) -> int:

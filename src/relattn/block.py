@@ -113,6 +113,8 @@ class BlockWeights:
         if self.wq.ndim != 3:
             raise ValueError(f"wq has shape {self.wq.shape}, expected (heads, channels, head_dim)")
         h, c, d = self.wq.shape
+        if h < 1:
+            raise ValueError(f"a block needs at least one head, got {h}")
         self.n_heads = h
         self.head_dim = d
         ct = self.ck.shape[1] if self.ck.ndim == 3 else None  # None matches no shape
@@ -283,7 +285,11 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
     sub-layer added back to its input.
 
     Self-attention streams over the plan's block cover, cross-attention adds
-    the level term of :func:`_level_term`.  A ``tape`` dict records what
+    the level term of :func:`_level_term`.  Untaped, the self-attention
+    holds one head's working set: its q, k and v (the float32 kernel writes
+    the output over q), the residual sum, which starts from the first
+    head's output projection, and the normalized input ``u`` only until
+    the last head is projected.  A ``tape`` dict records what
     :func:`_backward` cannot cheaply rebuild: the normalized inputs ``u``,
     ``u2``, ``u3`` with their ``inv`` scales and ``text``; per head the
     self-attention output and row log-sum-exp; and per head the
@@ -295,17 +301,25 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
     pre-activation it reads.
     """
     u, inv = _layer_norm(x)
-    sa = np.zeros_like(x)
     self_tape = []
-    for h in range(w.n_heads):
-        a, lse = _blockwise(*_self_qkv(w, h, u, plan.rot), plan.blocks)
-        if tape is not None:
-            self_tape.append((a, lse))
-        sa += a @ w.wo[h]
-        del a, lse
     if tape is not None:
         tape.update(text=text, u=u, inv=inv, self=self_tape)
-    del u, inv, self_tape
+    del inv
+    for h in range(w.n_heads):
+        qkv = _self_qkv(w, h, u, plan.rot)
+        if h == w.n_heads - 1:
+            del u
+        a, lse = _blockwise(*qkv, plan.blocks)
+        del qkv
+        if tape is not None:
+            self_tape.append((a, lse))
+        if h == 0:
+            sa = a @ w.wo[0]
+            sa += 0.0  # -0.0 -> +0.0: zeros + a wo, bit for bit
+        else:
+            sa += a @ w.wo[h]
+        del a, lse
+    del self_tape
     sa += x  # x + sa, bit for bit
     x1 = sa
 
@@ -585,6 +599,11 @@ def grad_check(
         raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     if arrays is not None and not arrays:
         raise ValueError("arrays must name at least one array")
+    known = [*weights.arrays(), *(("z_tokens", "text") if check_inputs else ())]
+    names = arrays if arrays is not None else known
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise ValueError(f"unknown array name(s) {unknown}")
     w, x, text, plan = _prepare(weights.astype(np.float64), z_tokens, text, spec, cfg, dtype=np.float64)
     # the steps below perturb x and text in place: _prepare's asarray may
     # have handed back the caller's own arrays
@@ -603,10 +622,6 @@ def grad_check(
     if check_inputs:
         tensors["z_tokens"], analytic["z_tokens"] = x, gx
         tensors["text"], analytic["text"] = text, gtext
-    names = arrays if arrays is not None else list(tensors)
-    unknown = [n for n in names if n not in tensors]
-    if unknown:
-        raise ValueError(f"unknown array name(s) {unknown}")
 
     coords = [(n, i) for n in names for i in range(tensors[n].size)]
     rng = np.random.default_rng(seed)

@@ -146,6 +146,30 @@ def test_blockwise_order_invariant():
         assert np.max(np.abs(a - b)) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cover", ["derived", "split"])
+def test_blockwise_leaves_its_inputs_as_they_are(dtype, cover):
+    spec = make_spec(1, 2, 3, bg=1, groups=(1,))
+    n = spec.n_tokens
+    blocks = build_csam(spec).blocks
+    if cover == "split":  # no row sees key 5, so each row lies in two blocks
+        bits = np.ones((n, n), dtype=bool)
+        bits[:, 5] = False
+        blocks = tuple(decompose_blocks(bits))
+        assert sum(b.q1 - b.q0 for b in blocks) == 2 * n
+    Q, K, V = rnd((n, 4), 31, dtype), rnd((n, 4), 32, dtype), rnd((n, 4), 33, dtype)
+    before = [a.tobytes() for a in (Q, K, V)]
+    out = masked_self_attention_blockwise(Q, K, V, blocks)
+    assert [a.tobytes() for a in (Q, K, V)] == before
+    ref = masked_self_attention_naive(Q, K, V, CsamMask(n, blocks))
+    assert np.max(np.abs(out - ref)) < 1e-6
+    # one array as queries, keys and values: no output overwrites the keys
+    X = Q.copy()
+    out = masked_self_attention_blockwise(X, X, X, blocks)
+    assert X.tobytes() == before[0]
+    assert out.tobytes() == masked_self_attention_blockwise(Q, Q.copy(), Q.copy(), blocks).tobytes()
+
+
 def test_blockwise_rejects_overlap_and_gap():
     n = 4
     Q = K = V = rnd((n, 2), 26)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relattn import block, checks
-from relattn.attention import AttnConfig
+from relattn.attention import AttnConfig, masked_self_attention_blockwise
 from relattn.block import (
     BlockWeights,
     FlowSample,
@@ -356,6 +356,20 @@ def test_grad_check_epsilon_range():
 
 
 @pytest.mark.parametrize(
+    "arrays, check_inputs", [(["nope"], False), (["z_tokens"], False), (["wq", "nope"], True)]
+)
+def test_grad_check_rejects_unknown_names_before_the_forward(arrays, check_inputs):
+    spec, weights, x, text = _small_problem()
+    with mock.patch.object(block, "_forward", wraps=block._forward) as forward:
+        with pytest.raises(ValueError, match="unknown array name"):
+            grad_check(
+                weights, x, text, spec, AttnConfig(), np.zeros_like(x),
+                arrays=arrays, check_inputs=check_inputs,
+            )
+    assert forward.call_count == 0
+
+
+@pytest.mark.parametrize(
     "rows",
     [np.array([], dtype=int), np.array([0.5]), np.array([4]), np.array([-1]), np.array([1, 1])],
     ids=["empty", "fractional", "past-end", "negative", "repeated"],
@@ -434,6 +448,43 @@ def test_block_forward_rejects_a_cover_of_another_layout(setup):
     small = make_spec(1, 1, 2, bg=1)
     with pytest.raises(ValueError, match="covered by no block"):
         block_forward(weights, x, text, spec, AttnConfig(), csam=build_csam(small))
+
+
+@pytest.mark.parametrize("entry", [block_forward, loss_and_gradients])
+def test_a_block_without_heads_is_rejected(entry):
+    spec, _, x, text = _small_problem()
+    args = (x, text, spec, AttnConfig(), np.zeros_like(x))[: 4 if entry is block_forward else 5]
+    with pytest.raises(ValueError, match="at least one head"):
+        entry(init_weights(np.random.default_rng(0), 6, 4, n_heads=0, dtype=np.float64), *args)
+
+
+def test_residual_sum_turns_negative_zeros_positive(setup):
+    # a GEMM may sum signed zeros into -0.0: the first residual sum is still
+    # zeros + sum_h a_h wo[h] + x, in that order, so x's -0.0 become +0.0
+    spec, weights, x, text = setup
+    cfg = AttnConfig()
+    w = weights.copy()
+    w.wo[...] = -0.0
+    x = x.copy()
+    x[::3, ::2] = -0.0
+    inputs, layer_norm = [], block._layer_norm
+
+    def spy(v):
+        inputs.append(v.copy())
+        return layer_norm(v)
+
+    with mock.patch.object(block, "_layer_norm", spy):
+        y = block_forward(w, x, text, spec, cfg)
+    w, x, text, plan = block._prepare(w, x, text, spec, cfg)
+    u = layer_norm(x)[0]
+    x1 = np.zeros_like(x)
+    for h in range(w.n_heads):
+        x1 += masked_self_attention_blockwise(*block._self_qkv(w, h, u, plan.rot), plan.blocks) @ w.wo[h]
+    x1 += x
+    assert not np.signbit(x1[::3, ::2]).any()
+    assert inputs[1].tobytes() == x1.tobytes()  # the cross-attention's input
+    # the rest of the block reads x1 only
+    assert y.tobytes() == block_forward(w, x + 0.0, text, spec, cfg).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,22 @@ def test_block_forward_of_many_small_branches_holds_no_full_height_tile(traced_p
     assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < 0.5
 
 
+def test_block_forward_holds_one_head_at_a_time(traced_peak_mib):
+    # a forward that held the normalized input and the residual sum beside
+    # each head's q, k, v and separate output, with a running max and
+    # normalizer per row, peaked at 0.34 MiB at n=624 and 9.58 MiB at
+    # n=7488; one that drops the input once the last head is projected,
+    # starts the sum from the first head's projection and writes each
+    # head's output over its queries at 0.28 and 8.84
+    small = make_spec(1, 6, 8, bg=1, objs=3, groups=(2, 2, 1))
+    for spec, bound in ((small, 0.30), (ROADMAP_LAYOUT, 9.2)):
+        rng = np.random.default_rng(0)
+        weights = init_weights(rng, 16, 12)
+        x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
+        text = rng.standard_normal((spec.text_len, 12)).astype(np.float32)
+        assert traced_peak_mib(block_forward, weights, x, text, spec, AttnConfig()) < bound
+
+
 def _short_wide_cover(n, height):
     """Blocks ``height`` rows tall and as wide as the sequence."""
     return [Block(q, min(q + height, n), 0, n) for q in range(0, n, height)]
