@@ -11,9 +11,10 @@ pins, takes each query row's softmax in one tile of ``_SELF_TILE`` rows x a
 whole block when its cover visits each row once, as the layout's own cover
 does, and writes the output over the queries it has read.  Other dtypes and
 covers fix each query row's softmax stabilizer before the walk and share the
-backward's folded GEMM operands (:func:`_folded`) and its 2-D tiles of
-``_BWD_TILE`` rows x at most ``_KEY_TILE`` keys, so no float64 buffer grows
-with the width of a block.
+backward's folded GEMM operands (:func:`_folded`) and its 2-D tiles of at
+most ``_KEY_TILE`` keys by :func:`_tile_rows` rows, so that every tile of
+every float64 walk holds about ``_BWD_TILE`` x ``_KEY_TILE`` elements and no
+buffer grows with the width of a block.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -26,7 +27,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,23 +41,29 @@ from .masks import Block
 _SELF_TILE = 256
 _CROSS_TILE = 128
 # Every other dtype walks one tile shape in both directions, the forward's
-# single buffer and the backward's two (P and dS).  At 64 rows and 1872
-# keys a float64 buffer takes 0.9 MB, and the backward's pair fits a 2 MiB
-# L2 where 256 rows take 7.7 MB.  Median ms of one head's backward (1
-# thread, Xeon, 2 MiB L2 per core) by height, for 16/32/48/64/96/128/256:
+# single buffer and the backward's two (P and dS), of _BWD_TILE x _KEY_TILE
+# elements (256 KiB of float64): the backward's pair fits a 2 MiB L2.  A
+# tile spans at most _KEY_TILE keys, however wide its block (the video rows
+# of the ROADMAP layout see all 7488 keys), and as many rows as fill the
+# budget over its keys (_tile_rows): _BWD_TILE rows over a full key chunk,
+# more over a narrower block, so a 144-key block walks 227-row tiles.
+# Median ms of one head's backward in tiles of one fixed height (1 thread,
+# Xeon, 2 MiB L2 per core), for 16/32/48/64/96/128/256 rows:
 #   bench_layout(), n=1872:  10-13 / 7-9 / 7-8 / 8 / 8-9 / 9 / 12
 #   ROADMAP layout, n=7488:  123-148 / 129-140 / 113-128 / 117-128 /
 #                            116-138 / 146 / 159-166
 # and of one head's forward at n=7488, 64 rows ran in 50-54 ms, 256 in 57-62.
-# A tile also spans at most _KEY_TILE keys, so a buffer holds at most
-# 64 x 512 float64 (256 KiB) however wide its block: the video rows of the
-# ROADMAP layout see all 7488 keys.  Median ms of one head at 64 rows (1
-# thread, AMD EPYC, 2 MiB L2 per core) by key chunk, for 128/256/512/1024/
-# whole block:
+# Median ms of one head at 64 rows (1 thread, AMD EPYC, 2 MiB L2 per core)
+# by key chunk, for 128/256/512/1024/whole block:
 #   n=1872, forward:   1.55 / 1.30 / 1.18 / 1.16 / 1.25
 #           backward:  2.96 / 2.39 / 2.20 / 2.25 / 2.26
 #   n=7488, forward:  19.9 / 17.0 / 16.6 / 16.2 / 17.8
 #           backward: 39.0 / 31.5 / 30.7 / 29.8 / 33.3
+# Sized by width, bench_layout()'s 144- and 288-key condition blocks take
+# 35 tiles per head where 64 rows took 49.  Median ms of one head's
+# backward there (1 thread, Xeon, 2 MiB L2 per core, 300 interleaved
+# calls), tiles filled query-major / key-major: 64 rows 5.00 / 4.58, rows
+# by width 4.68 / 4.40.
 _BWD_TILE = 64
 _KEY_TILE = 512
 
@@ -126,8 +133,8 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
     a cover that visits each query row once takes each row's softmax whole
     in tiles of at most 256 rows x a whole block; other dtypes and covers
     fix each row's softmax stabilizer before the walk, in tiles of at most
-    64 rows x 512 keys (see :func:`_blockwise`).  The caller's arrays are
-    left as they are.
+    512 keys and 32768 logits (see :func:`_blockwise`).  The caller's
+    arrays are left as they are.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
@@ -148,8 +155,9 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     :func:`~relattn.masks.build_csam` does, takes :func:`_one_pass`, only
     because the README loss and the pinned block outputs freeze its bits.
     Every other dtype or cover takes three passes over the tiles of
-    :func:`_tiles`, ``_BWD_TILE`` (64) rows by at most ``_KEY_TILE`` (512)
-    keys, the tiles its backward walks too.
+    :func:`_tiles`, at most ``_KEY_TILE`` (512) keys by :func:`_tile_rows`
+    rows (64 over 512 keys, 227 over a 144-key block), the tiles its
+    backward walks too.
     First it fixes one stabilizer per query row, ``c = scale |q| max|k|``
     over the keys of the row's blocks: no logit of the row exceeds it, so
     ``exp`` cannot overflow, and the row's true max lies within ``2c``
@@ -169,7 +177,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
         return _one_pass(Q, K, V, blocks, scale)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
-    buf = np.empty(_tile_size(blocks, _BWD_TILE, _KEY_TILE), dtype=dt)
+    buf = np.empty(_tile_size(blocks, _tile_rows, _KEY_TILE), dtype=dt)
     Qs = Q * scale
     # a norm may overflow, and 0 * inf gives NaN: neither is below the
     # limit, so such rows take the exact route
@@ -185,7 +193,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
         peak = np.full(exact.size, -np.inf, dtype=dt)
         for blk in blocks:
             lo, hi = np.searchsorted(exact, (blk.q0, blk.q1))
-            for ts, ks in _tiles(lo, hi, blk.k0, blk.k1, _BWD_TILE, _KEY_TILE):
+            for ts, ks in _tiles(lo, hi, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
                 logits = _view(buf, ts, ks)
                 np.matmul(Qs[exact[ts]], K[ks].T, out=logits)
                 np.maximum(peak[ts], logits.max(axis=1), out=peak[ts])
@@ -194,7 +202,7 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     Qx, Kx, Vx = _folded(Qs, K, V, c)
     acc = np.zeros((n, Vx.shape[1]), dtype=dt)
     for blk in blocks:
-        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _BWD_TILE, _KEY_TILE):
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
             P = _view(buf, qs, ks)
             np.matmul(Qx[qs], Kx[ks].T, out=P)
             np.exp(P, out=P)
@@ -212,7 +220,7 @@ def _one_pass(Q, K, V, blocks: Sequence[Block], scale: float):
     sc = dt.type(scale)
     out = Q if Q.shape[1] == V.shape[1] else np.empty((n, V.shape[1]), dtype=dt)
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
-    buf = np.empty(_tile_size(blocks, _SELF_TILE, n), dtype=dt)
+    buf = np.empty(_tile_size(blocks, lambda width: _SELF_TILE, n), dtype=dt)
     for blk in blocks:
         # n keys per tile: one key chunk spans the whole block
         for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _SELF_TILE, n):
@@ -231,10 +239,22 @@ def _one_pass(Q, K, V, blocks: Sequence[Block], scale: float):
     return out, total
 
 
-def _tile_size(blocks: Sequence[Block], rows: int, cols: int) -> int:
+def _tile_size(blocks: Sequence[Block], rows: Callable[[int], int], cols: int) -> int:
     """Elements of the largest tile a walk of ``blocks`` in tiles of at most
-    ``rows`` queries x ``cols`` keys fills: no tile outgrows its block."""
-    return max((min(rows, b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
+    ``rows(width)`` queries x ``cols`` keys fills, for a block ``width``
+    keys wide: no tile outgrows its block."""
+    return max((min(rows(b.k1 - b.k0), b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
+
+
+def _tile_rows(width: int) -> int:
+    """Query rows of a float64 tile over a block or caption ``width`` keys
+    wide: as many as fill ``_BWD_TILE`` x ``_KEY_TILE`` logits (256 KiB of
+    float64) over the tile's at most ``_KEY_TILE`` keys, so at least
+    ``_BWD_TILE``.  A self-attention block wider than ``_KEY_TILE`` splits
+    into key chunks and takes ``_BWD_TILE`` rows; a caption, whose tiles span
+    all of it, keeps its tiles no larger than a short one's until it passes
+    ``_KEY_TILE`` tokens."""
+    return max(_BWD_TILE, _BWD_TILE * _KEY_TILE // width)
 
 
 def _tiles(q0: int, q1: int, k0: int, k1: int, rows: int, cols: int):
@@ -271,26 +291,26 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
     2-D tiles and recomputes each tile's weights P = exp(Q K^T scale - lse)
     instead of keeping them; the gradient of Q K^T is P * (g V^T - D) *
     scale, and both subtractions ride in the GEMMs.  ``scale`` rides on Q
-    into dK, and dQ takes it once at the end.  P and its gradient dS live
-    in two buffers, each the size of the cover's largest tile, reused by
-    every tile."""
+    into dK, and dQ takes it once at the end.  Each tile is filled key-major,
+    P^T = Kx Qx^T and dS^T = Vx gx^T, so that dV += P^T g and dK += dS^T Qs
+    are plain GEMMs and only dQ += (dS^T)^T K reads a transposed operand.
+    P^T and dS^T live in two buffers, each the size of the cover's largest
+    tile, reused by every tile."""
     dt = Qx.dtype
     Qs, K, g = Qx[:, :-1], Kx[:, :-1], gx[:, :-1]
     dQ, dK, dV = np.zeros_like(Qs), np.zeros_like(K), np.zeros_like(g)
-    size = _tile_size(blocks, _BWD_TILE, _KEY_TILE)
+    size = _tile_size(blocks, _tile_rows, _KEY_TILE)
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
     for blk in blocks:
-        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _BWD_TILE, _KEY_TILE):
-            P, dS = _view(p_buf, qs, ks), _view(ds_buf, qs, ks)
-            np.matmul(Qx[qs], Kx[ks].T, out=P)
-            np.exp(P, out=P)
-            # (g.T @ P).T rather than P.T @ g: the product's rows run along
-            # the long key axis, not along the 8-wide value axis
-            dV[ks] += (g[qs].T @ P).T
-            np.matmul(gx[qs], Vx[ks].T, out=dS)
-            dS *= P
-            dQ[qs] += dS @ K[ks]
-            dK[ks] += (Qs[qs].T @ dS).T
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
+            Pt, dSt = _view(p_buf, ks, qs), _view(ds_buf, ks, qs)
+            np.matmul(Kx[ks], Qx[qs].T, out=Pt)
+            np.exp(Pt, out=Pt)
+            dV[ks] += Pt @ g[qs]
+            np.matmul(Vx[ks], gx[qs].T, out=dSt)
+            dSt *= Pt
+            dK[ks] += dSt @ Qs[qs]
+            dQ[qs] += dSt.T @ K[ks]
     dQ *= scale
     return dQ, dK, dV
 
@@ -298,19 +318,21 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
 def _attend(Q, K, V, scale, level_term=None):
     """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
     and each query row's log-sum-exp of its scaled logits, from which
-    :func:`_cross_head_bwd` recomputes the weights.  Walks tiles of
-    ``_CROSS_TILE`` rows through one reused logits buffer, each filled by
-    :func:`_cross_logits`."""
+    :func:`_cross_head_bwd` recomputes the weights.  Walks tiles through one
+    reused logits buffer, each filled by :func:`_cross_logits`: float32, whose
+    output bits the README loss pins, in ``_CROSS_TILE`` rows; every other
+    dtype in the :func:`_tile_rows` rows its backward walks (963 at 34
+    caption tokens)."""
     n, L = Q.shape[0], K.shape[0]
-    dt, term = np.result_type(Q, K), None
+    dt = np.result_type(Q, K) if level_term is None else np.result_type(Q, K, level_term[0])
+    tile, term = (_CROSS_TILE if dt == np.float32 else _tile_rows(L)), None
     if level_term is not None:
         table, _, first = level_term
-        dt = np.result_type(dt, table)
-        term = np.empty((min(_CROSS_TILE, n - first), L), dtype=table.dtype)  # rows >= first only
+        term = np.empty((min(tile, n - first), L), dtype=table.dtype)  # rows >= first only
     out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
-    buf = np.empty((min(_CROSS_TILE, n), L), dtype=dt)
-    for rows, _ in _tiles(0, n, 0, L, _CROSS_TILE, L):
+    buf = np.empty((min(tile, n), L), dtype=dt)
+    for rows, _ in _tiles(0, n, 0, L, tile, L):
         logits = _cross_logits(buf[: rows.stop - rows.start], Q, K, rows, level_term, term, scale)
         row_max = logits.max(axis=1, keepdims=True)
         logits -= row_max
@@ -356,21 +378,13 @@ def _level_term(qc, kc, plan):
     return pooled, sim, (table, row_patch, plan.spec.n_video_tokens)
 
 
-def _cross_rows(L: int) -> int:
-    """Row tile height of :func:`_cross_head_bwd` for a caption of ``L``
-    tokens: about 32768 logits (256 KiB of float64) per buffer, and at
-    least 64 rows, so a long caption's tiles stay no larger than a short
-    one's until L passes 512."""
-    return max(64, 32768 // L)
-
-
 def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
     """One cross-attention head's gradients w.r.t. its output projection
     ``co`` and its qc, kc and vc, from its queries, keys, values and row
     log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
     Overwrites ``qc``.
 
-    Walks tiles of :func:`_cross_rows` rows and recomputes each tile's
+    Walks tiles of :func:`_tile_rows` rows and recomputes each tile's
     weights P = exp(logits - lse) by the forward's code, and from them its
     output a = P vc, instead of keeping either; with D = rowsum(ga * a) for
     ga = gx co^T, the gradient of the logits before ``scale`` is dS = P *
@@ -387,8 +401,8 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
     slope *= plan.r
     gco, gqc = np.zeros_like(co), np.empty_like(qc)
     gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
-    tile = _cross_rows(L)
-    p_buf, ds_buf = np.empty((min(tile, n), L)), np.empty((min(tile, n), L))
+    tile = _tile_rows(L)
+    p_buf, ds_buf = (np.empty((min(tile, n), L), dtype=qc.dtype) for _ in range(2))
     for rows, _ in _tiles(0, n, 0, L, tile, L):
         m, lo = rows.stop - rows.start, max(rows.start, first)
         patch = row_patch[lo : rows.stop]  # of the tile's condition rows

@@ -231,10 +231,13 @@ def _layer_norm(x):
 
 
 def _layer_norm_bwd(gy, y, inv):
-    """inv (gy - mean(gy) - y mean(gy y)) per row, written over ``gy``."""
+    """inv (gy - mean(gy) - y mean(gy y)) per row, written over ``gy``.  The
+    row means are GEMMs against a column of 1/C, which numpy runs faster
+    than a ``mean`` along C-wide rows."""
+    col = np.full((gy.shape[1], 1), 1.0 / gy.shape[1], dtype=gy.dtype)
     t = gy * y
-    m = t.mean(axis=1, keepdims=True)
-    gy -= gy.mean(axis=1, keepdims=True)
+    m = t @ col
+    gy -= gy @ col
     np.multiply(y, m, out=t)
     gy -= t
     gy *= inv
@@ -289,7 +292,8 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
     holds one head's working set: its q, k and v (the float32 kernel writes
     the output over q), the residual sum, which starts from the first
     head's output projection, and the normalized input ``u`` only until
-    the last head is projected.  A ``tape`` dict records what
+    the last head is projected; the cross-attention's sum starts from its
+    first head's projection too.  A ``tape`` dict records what
     :func:`_backward` cannot cheaply rebuild: the normalized inputs ``u``,
     ``u2``, ``u3`` with their ``inv`` scales and ``text``; per head the
     self-attention output and row log-sum-exp; and per head the
@@ -327,7 +331,6 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
     if text.shape[0] > 0:
         scale = _default_scale(w.head_dim)
         u2, inv2 = _layer_norm(x1)
-        ca = np.zeros_like(x1)
         for h in range(w.n_heads):
             qc = u2 @ w.cq[h]
             kc = text @ w.ck[h]
@@ -335,7 +338,11 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
             a, lse = _attend(qc, kc, vc, scale, _level_term(qc, kc, plan)[2])
             if tape is not None:
                 cross_tape.append((kc, vc, lse))
-            ca += a @ w.co[h]
+            if h == 0:
+                ca = a @ w.co[0]
+                ca += 0.0  # -0.0 -> +0.0: zeros + a co, bit for bit
+            else:
+                ca += a @ w.co[h]
         del qc, kc, vc, a, lse
         ca += x1
         x2 = ca

@@ -201,8 +201,9 @@ def csam_oracle_vectorized(spec) -> np.ndarray:
 
 def masked_attention_grads_oracle(Q, K, V, bits, g, scale=None):
     """(dQ, dK, dV) of sum(g * masked attention(Q, K, V)) in float64, one
-    query row at a time through the explicit softmax Jacobian
-    diag(w) - w w^T over the row's admissible keys."""
+    query row at a time through the softmax Jacobian diag(w) - w w^T over
+    the row's admissible keys, applied as (diag(w) - w w^T) x = w (x - w.x)
+    so that a row of n keys costs O(n), not an n x n matrix."""
     Q, K, V, g = (np.asarray(a, dtype=np.float64) for a in (Q, K, V, g))
     if scale is None:
         scale = 1.0 / math.sqrt(K.shape[1])
@@ -212,7 +213,8 @@ def masked_attention_grads_oracle(Q, K, V, bits, g, scale=None):
         logits = (K[keys] @ Q[qi]) * scale
         w = np.exp(logits - logits.max())
         w /= w.sum()
-        dlogits = (np.diag(w) - np.outer(w, w)) @ (V[keys] @ g[qi]) * scale
+        x = V[keys] @ g[qi]
+        dlogits = w * (x - w @ x) * scale
         dV[keys] += np.outer(w, g[qi])
         dQ[qi] += dlogits @ K[keys]
         dK[keys] += np.outer(dlogits, Q[qi])

@@ -546,8 +546,14 @@ def test_layer_norm_backward_is_the_closed_form_bit_for_bit(dtype):
     rng = np.random.default_rng(17)
     gy, y = (rng.standard_normal((64, 12)).astype(dtype) for _ in range(2))
     inv = rng.uniform(0.5, 2.0, (64, 1)).astype(dtype)
-    want = inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
-    assert _layer_norm_bwd(gy.copy(), y, inv).tobytes() == want.tobytes()
+    # the row means are GEMMs against a column of 1/C, in place as in the
+    # closed form, and within a few ulps of numpy's means
+    col = np.full((12, 1), 1 / 12, dtype=dtype)
+    want = inv * (gy - gy @ col - y * ((gy * y) @ col))
+    got = _layer_norm_bwd(gy.copy(), y, inv)
+    assert got.tobytes() == want.tobytes()
+    means = inv * (gy - gy.mean(axis=1, keepdims=True) - y * (gy * y).mean(axis=1, keepdims=True))
+    assert np.abs(got - means).max() <= 16 * np.finfo(dtype).eps * np.abs(means).max()
 
 
 def test_grad_check_multiple_seeds():

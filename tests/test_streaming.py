@@ -217,3 +217,19 @@ def test_blockwise_backward_tiles_are_no_taller_than_their_blocks(traced_peak_mi
     peak = traced_peak_mib(attention._folded_bwd, *folded, cover, 0.5)
     assert peak <= traced_peak_mib(attention._folded_bwd, *folded, cut, 0.5)
     assert peak < attention._BWD_TILE * chunk * 8 / 2**20
+
+
+def test_blockwise_backward_tiles_of_narrow_blocks_stay_within_the_budget(traced_peak_mib):
+    # blocks 8 keys wide and 2048 rows tall: a tile over 8 keys may take
+    # 4096 rows, so each block is one tile of 32 times _BWD_TILE rows, and
+    # the walk's two tile buffers with its gradients stay below two tiles
+    # of _BWD_TILE x _KEY_TILE float64
+    n, width = 2048, 8
+    assert attention._tile_rows(width) >= n > 16 * attention._BWD_TILE
+    cover = [Block(0, n, k, k + width) for k in range(0, 8 * width, width)]
+    Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (28, 29, 30, 31))
+    out, lse = attention._blockwise(Q, K, V, cover, 0.5)
+    gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
+    folded = (*attention._folded(Q * 0.5, K, V, lse), gx)
+    peak = traced_peak_mib(attention._folded_bwd, *folded, cover, 0.5)
+    assert peak < 2 * attention._BWD_TILE * attention._KEY_TILE * 8 / 2**20

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from relattn import attention
 from relattn.attention import AttnConfig, _blockwise, _folded, _folded_bwd
 from relattn.block import (
+    _backward,
     _forward,
     _prepare,
     block_forward,
@@ -99,8 +100,9 @@ def test_dense_grads_oracle_matches_central_differences():
 def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, keys, seed):
     # rows that span several blocks combine their log-sum-exp across blocks;
     # small tiles split every block into several query tiles, in the forward
-    # and in the backward, which has its own tile height, and small key
-    # chunks split every block into several tiles along its keys too
+    # and in the backward, whose tile height would otherwise follow the
+    # block's width, and small key chunks split every block into several
+    # tiles along its keys too
     bits, blocks = cover
     n = bits.shape[0]
     Q, K, V, g = _qkvg(n, seed)
@@ -108,7 +110,7 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     want = masked_attention_grads_oracle(Q, K, V, bits, g, scale)
     _, want_out, want_lse = _dense_forward(Q, K, V, bits, blocks, scale)
     with mock.patch.object(attention, "_SELF_TILE", tile), mock.patch.object(
-        attention, "_BWD_TILE", tile
+        attention, "_tile_rows", lambda width: tile
     ), mock.patch.object(attention, "_KEY_TILE", keys):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise(Q, K, V, order, scale)
@@ -134,9 +136,11 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
     # float64 logits carry an absolute error of a few ulps of their size
     size = np.abs(np.where(bits, logits, 0.0)).max(axis=1)
     tol = 1e-12 + 1e-14 * size
-    # the float64 route walks _BWD_TILE x _KEY_TILE tiles in both of its
-    # tiled passes, the exact route's peak scan included
-    with mock.patch.object(attention, "_BWD_TILE", tile), mock.patch.object(attention, "_KEY_TILE", keys):
+    # the float64 route walks tiles of _tile_rows rows x _KEY_TILE keys in
+    # both of its tiled passes, the exact route's peak scan included
+    with mock.patch.object(attention, "_tile_rows", lambda width: tile), mock.patch.object(
+        attention, "_KEY_TILE", keys
+    ):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise(Q, K, V, order, scale)
             assert np.isfinite(out).all() and np.isfinite(lse).all()
@@ -179,14 +183,16 @@ def test_float64_forward_matches_long_double_oracle(factor):
 
 
 def test_blockwise_backward_matches_dense_oracle_at_the_shipped_tile():
-    # every block is taller and wider than _BWD_TILE and no height is a
-    # multiple of it: full and partial tiles of the folded -lse and -D
-    # columns accumulate into the same key rows
-    spec = make_spec(1, 9, 9, bg=1, objs=1, groups=(1,))
+    # bench_layout()'s cover: the video rows' 288 x 1872 block splits into
+    # 64-row tiles and 512-key chunks, both with a partial last one, each
+    # 288 x 288 branch into 113-row tiles with a partial last one, and each
+    # 144 x 144 branch, taller than _BWD_TILE, is one tile: full and partial
+    # tiles of the folded -lse and -D columns accumulate into the same rows
+    spec = bench_layout()
     blocks = build_csam(spec).blocks
-    tile = attention._BWD_TILE
-    assert all(b.q1 - b.q0 > tile and b.k1 - b.k0 > tile for b in blocks)
-    assert all((b.q1 - b.q0) % tile for b in blocks)
+    shapes = {(b.q1 - b.q0, b.k1 - b.k0, attention._tile_rows(b.k1 - b.k0)) for b in blocks}
+    assert shapes == {(288, 1872, 64), (288, 288, 113), (144, 144, 227)}
+    assert 1872 % attention._KEY_TILE
     n = spec.n_tokens
     Q, K, V, g = _qkvg(n, 11)
     scale = 0.5
@@ -237,7 +243,8 @@ def test_streamed_cross_forward_matches_dense_oracle(tile, d):
     spec, cfg, w, plan, (qc, kc, vc), _, additive, _ = _cross_head(d)
     scale = 1 / np.sqrt(w.head_dim)
     level_term = attention._level_term(qc, kc, plan)[2]
-    with mock.patch.object(attention, "_CROSS_TILE", tile):
+    # float64, which walks _tile_rows rows (float32 walks _CROSS_TILE)
+    with mock.patch.object(attention, "_tile_rows", lambda L: tile):
         out, lse = attention._attend(qc, kc, vc, scale, level_term)
     want = attention_oracle(qc, kc, vc, additive=additive, scale=scale)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
@@ -252,7 +259,7 @@ def test_streamed_cross_backward_matches_dense_oracle(tile, d):
     scale = 1 / np.sqrt(w.head_dim)
     lse = _logsumexp((qc @ kc.T + additive) * scale)
     want = cross_attention_grads_oracle(qc, kc, vc, co, gx, spec, levels, cfg.r, d, scale)
-    with mock.patch.object(attention, "_cross_rows", lambda L: tile):
+    with mock.patch.object(attention, "_tile_rows", lambda L: tile):
         got = attention._cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale)
     for g, ref in zip(got, want):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
@@ -260,7 +267,7 @@ def test_streamed_cross_backward_matches_dense_oracle(tile, d):
 
 def test_grad_check_with_a_caption_longer_than_one_cross_tile():
     spec = make_spec(1, 6, 6, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
-    assert spec.text_len == 312 and spec.n_tokens > 2 * attention._cross_rows(spec.text_len)
+    assert spec.text_len == 312 and spec.n_tokens > 2 * attention._tile_rows(spec.text_len)
     w, x, text, target = _problem(spec, 5, 6, 4, n_heads=2, head_dim=6, hidden=8)
     report = grad_check(w, x, text, spec, AttnConfig(d=2), target, max_coords=24, check_inputs=True)
     assert report.max_rel_error <= 1e-3
@@ -272,6 +279,25 @@ def test_training_loss_is_the_float64_forward_loss():
         cfg = AttnConfig()
         loss = loss_and_gradients(w, x, text, spec, cfg, target)[0]
         assert loss == fm_loss(block_forward(w, x, text, spec, cfg), target)
+
+
+def test_float32_backward_follows_the_float64_gradients():
+    # the taped forward and its backward run in the inputs' dtype; the
+    # cross-attention backward's tile buffers were float64 whatever the
+    # dtype, and a float32 backward raised TypeError
+    spec, cfg = bench_layout(), AttnConfig()
+    w, x, text, target = _problem(spec, 7)
+    _, want, want_gx, want_gtext = loss_and_gradients(w, x, text, spec, cfg, target)
+    w32, x32, text32, plan = _prepare(w, x, text, spec, cfg, dtype=np.float32)
+    tape: dict = {}
+    y = _forward(w32, x32, text32, plan, tape)
+    gy = (y - target.astype(np.float32)) * np.float32(2 / y.size)
+    got, gx, gtext = _backward(w32, tape, plan, gy)
+    got.update(z_tokens=gx, text=gtext)
+    want.update(z_tokens=want_gx, text=want_gtext)
+    for name, ref in want.items():
+        assert got[name].dtype == np.float32, name
+        assert np.abs(got[name] - ref).max() <= 1e-5 * np.abs(ref).max(), name
 
 
 @pytest.mark.parametrize(
