@@ -16,6 +16,18 @@ most ``_KEY_TILE`` keys by :func:`_tile_rows` rows, so that every tile of
 every float64 walk holds about ``_BWD_TILE`` x ``_KEY_TILE`` elements and no
 buffer grows with the width of a block.
 
+A GEMM's right operand is row-major in every float64 walk.  OpenBLAS packs
+a thin transposed right operand, such as the K^T of a logits tile, far more
+slowly than a row-major one: a (512 x 9) @ (9 x 64) float64 GEMM took 35.6 us
+through a ``.T`` view and 21.5 us from a copy (1 thread, Xeon, OpenBLAS
+0.3.31).  So the three-pass forward copies K^T once per call, the
+cross-attention copies its transposed operands once per head
+(:func:`_transposed`), and the self-attention backward copies Q^T and g^T
+once per query tile.  A transposed left operand costs nothing extra.  The
+pinned float32 routes, :func:`_one_pass` and the float32 :func:`_attend`,
+are the exception and keep their ``.T`` views: a 1-row GEMM's bits follow
+its operand's layout, so a 1-row tile would move their output.
+
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
 """
@@ -79,7 +91,7 @@ class AttnConfig:
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
-        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+        if not isinstance(self.d, numbers.Integral) or isinstance(self.d, bool) or self.d < 1:
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
 
 
@@ -188,6 +200,10 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
             rows = reach[blk.q0 : blk.q1]
             np.maximum(rows, key_norm[blk.k0 : blk.k1].max(), out=rows)
         c = np.sqrt(np.einsum("ij,ij->i", Qs, Qs)) * reach
+    Qx, Kx, Vx = _folded(Qs, K, V, c)
+    del Qs
+    KxT = Kx.T.copy()  # every tile's right operand, row-major
+    del Kx
     exact = np.flatnonzero(~(2 * c < -np.log(np.finfo(dt).tiny)))
     if exact.size:
         peak = np.full(exact.size, -np.inf, dtype=dt)
@@ -195,16 +211,16 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
             lo, hi = np.searchsorted(exact, (blk.q0, blk.q1))
             for ts, ks in _tiles(lo, hi, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
                 logits = _view(buf, ts, ks)
-                np.matmul(Qs[exact[ts]], K[ks].T, out=logits)
+                np.matmul(Qx[exact[ts], :-1], KxT[:-1, ks], out=logits)
                 np.maximum(peak[ts], logits.max(axis=1), out=peak[ts])
         c[exact] = peak
+        Qx[exact, -1] = -peak
 
-    Qx, Kx, Vx = _folded(Qs, K, V, c)
     acc = np.zeros((n, Vx.shape[1]), dtype=dt)
     for blk in blocks:
         for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
             P = _view(buf, qs, ks)
-            np.matmul(Qx[qs], Kx[ks].T, out=P)
+            np.matmul(Qx[qs], KxT[:, ks], out=P)
             np.exp(P, out=P)
             acc[qs] += P @ Vx[ks]
     return acc[:, :-1] / acc[:, -1:], c + np.log(acc[:, -1])
@@ -257,6 +273,14 @@ def _tile_rows(width: int) -> int:
     return max(_BWD_TILE, _BWD_TILE * _KEY_TILE // width)
 
 
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """``x``^T as a GEMM's right operand: a row-major copy, which BLAS packs
+    faster than a transposed view when ``x`` is thin, except in float32,
+    whose pinned outputs a copy would move (a 1-row GEMM's bits follow its
+    operand's layout)."""
+    return x.T if x.dtype == np.float32 else x.T.copy()
+
+
 def _tiles(q0: int, q1: int, k0: int, k1: int, rows: int, cols: int):
     """(query slice, key slice) of each tile of at most ``rows`` queries x
     ``cols`` keys of the rectangle [q0, q1) x [k0, k1), key chunks
@@ -292,22 +316,30 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
     instead of keeping them; the gradient of Q K^T is P * (g V^T - D) *
     scale, and both subtractions ride in the GEMMs.  ``scale`` rides on Q
     into dK, and dQ takes it once at the end.  Each tile is filled key-major,
-    P^T = Kx Qx^T and dS^T = Vx gx^T, so that dV += P^T g and dK += dS^T Qs
-    are plain GEMMs and only dQ += (dS^T)^T K reads a transposed operand.
-    P^T and dS^T live in two buffers, each the size of the cover's largest
-    tile, reused by every tile."""
+    P^T = Kx Qx^T and dS^T = Vx gx^T, so that dV += P^T g, dK += dS^T Qs and
+    dQ += (dS^T)^T K read row-major right operands, as the two fills do:
+    each query tile copies Qx^T and gx^T once into two scratch buffers,
+    which its key chunks share.  P^T and dS^T live in two buffers, each the
+    size of the cover's largest tile, reused by every tile."""
     dt = Qx.dtype
     Qs, K, g = Qx[:, :-1], Kx[:, :-1], gx[:, :-1]
     dQ, dK, dV = np.zeros_like(Qs), np.zeros_like(K), np.zeros_like(g)
     size = _tile_size(blocks, _tile_rows, _KEY_TILE)
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
+    rows = max((min(_tile_rows(b.k1 - b.k0), b.q1 - b.q0) for b in blocks), default=0)
+    qt_buf, gt_buf = np.empty((Qx.shape[1], rows), dtype=dt), np.empty((gx.shape[1], rows), dtype=dt)
+    tile = None
     for blk in blocks:
         for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
+            if qs != tile:  # key chunks are innermost: a new query tile
+                tile = qs
+                QxT, gxT = qt_buf[:, : qs.stop - qs.start], gt_buf[:, : qs.stop - qs.start]
+                QxT[...], gxT[...] = Qx[qs].T, gx[qs].T
             Pt, dSt = _view(p_buf, ks, qs), _view(ds_buf, ks, qs)
-            np.matmul(Kx[ks], Qx[qs].T, out=Pt)
+            np.matmul(Kx[ks], QxT, out=Pt)
             np.exp(Pt, out=Pt)
             dV[ks] += Pt @ g[qs]
-            np.matmul(Vx[ks], gx[qs].T, out=dSt)
+            np.matmul(Vx[ks], gxT, out=dSt)
             dSt *= Pt
             dK[ks] += dSt @ Qs[qs]
             dQ[qs] += dSt.T @ K[ks]
@@ -320,12 +352,14 @@ def _attend(Q, K, V, scale, level_term=None):
     and each query row's log-sum-exp of its scaled logits, from which
     :func:`_cross_head_bwd` recomputes the weights.  Walks tiles through one
     reused logits buffer, each filled by :func:`_cross_logits`: float32, whose
-    output bits the README loss pins, in ``_CROSS_TILE`` rows; every other
-    dtype in the :func:`_tile_rows` rows its backward walks (963 at 34
-    caption tokens)."""
+    output bits the README loss pins, in ``_CROSS_TILE`` rows against a
+    ``K.T`` view; every other dtype in the :func:`_tile_rows` rows its
+    backward walks (963 at 34 caption tokens) against a row-major copy of
+    K^T."""
     n, L = Q.shape[0], K.shape[0]
     dt = np.result_type(Q, K) if level_term is None else np.result_type(Q, K, level_term[0])
     tile, term = (_CROSS_TILE if dt == np.float32 else _tile_rows(L)), None
+    KT = _transposed(K)
     if level_term is not None:
         table, _, first = level_term
         term = np.empty((min(tile, n - first), L), dtype=table.dtype)  # rows >= first only
@@ -333,7 +367,7 @@ def _attend(Q, K, V, scale, level_term=None):
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
     buf = np.empty((min(tile, n), L), dtype=dt)
     for rows, _ in _tiles(0, n, 0, L, tile, L):
-        logits = _cross_logits(buf[: rows.stop - rows.start], Q, K, rows, level_term, term, scale)
+        logits = _cross_logits(buf[: rows.stop - rows.start], Q, KT, rows, level_term, term, scale)
         row_max = logits.max(axis=1, keepdims=True)
         logits -= row_max
         np.exp(logits, out=logits)
@@ -346,13 +380,14 @@ def _attend(Q, K, V, scale, level_term=None):
     return out, total
 
 
-def _cross_logits(logits, Q, K, rows, level_term, term, scale):
+def _cross_logits(logits, Q, KT, rows, level_term, term, scale):
     """(Q[rows] K^T [+ level term]) * scale, the logits of a tile of both
-    cross-attention walks, into ``logits``.  ``level_term=(table, index,
-    first)`` adds ``table[index[i]]``, the relational levels * s * r stored
-    once per distinct row, to every query row ``i >= first``, gathered
-    through the front rows of ``term``; earlier rows have all-zero levels."""
-    np.matmul(Q[rows], K.T, out=logits)
+    cross-attention walks, into ``logits``, with ``KT`` = K^T as
+    :func:`_transposed` gives it.  ``level_term=(table, index, first)``
+    adds ``table[index[i]]``, the relational levels * s * r stored once per
+    distinct row, to every query row ``i >= first``, gathered through the
+    front rows of ``term``; earlier rows have all-zero levels."""
+    np.matmul(Q[rows], KT, out=logits)
     if level_term is not None:
         table, index, first = level_term
         lo = max(rows.start, first)
@@ -371,7 +406,7 @@ def _level_term(qc, kc, plan):
     first condition row."""
     cells, row_patch, levels = plan.patches
     pooled = _patch_sum(qc, plan.spec, plan.d) / cells
-    sim = pooled @ kc.T
+    sim = pooled @ _transposed(kc)
     table = np.abs(sim)
     table *= table.dtype.type(plan.r)
     table *= levels  # level * (s * r), as the dense kernel's levels * s * r
@@ -401,20 +436,21 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
     slope *= plan.r
     gco, gqc = np.zeros_like(co), np.empty_like(qc)
     gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
+    kcT, vcT, coT = _transposed(kc), _transposed(vc), _transposed(co)
     tile = _tile_rows(L)
     p_buf, ds_buf = (np.empty((min(tile, n), L), dtype=qc.dtype) for _ in range(2))
     for rows, _ in _tiles(0, n, 0, L, tile, L):
         m, lo = rows.stop - rows.start, max(rows.start, first)
         patch = row_patch[lo : rows.stop]  # of the tile's condition rows
         P, dS = p_buf[:m], ds_buf[:m]
-        _cross_logits(P, qc, kc, rows, level_term, dS, scale)  # dS serves as the gather's scratch
+        _cross_logits(P, qc, kcT, rows, level_term, dS, scale)  # dS serves as the gather's scratch
         P -= lse[rows, None]
         np.exp(P, out=P)
         a = P @ vc
-        ga = gx[rows] @ co.T
+        ga = gx[rows] @ coT
         gco += a.T @ gx[rows]
         gvc += (ga.T @ P).T
-        np.matmul(ga, vc.T, out=dS)
+        np.matmul(ga, vcT, out=dS)
         dS -= np.einsum("ij,ij->i", ga, a)[:, None]
         dS *= P
         np.matmul(dS, kc, out=gqc[rows])

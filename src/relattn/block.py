@@ -252,6 +252,9 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=Non
     """Validated inputs, weights in the inputs' dtype, and the layout plan
     that the forward and the backward read.  A caller's ``csam`` and ``mcam``
     are checked against ``spec`` first; a missing one is built from it."""
+    for name, mask, kind in (("csam", csam, CsamMask), ("mcam", mcam, McamMask)):
+        if mask is not None and not isinstance(mask, kind):
+            raise TypeError(f"{name} must be a {kind.__name__} or None, got {type(mask).__name__}")
     if csam is None:
         csam = build_csam(spec)
     else:
@@ -422,7 +425,9 @@ def _backward(w: BlockWeights, tape, plan, gy):
     :func:`_folded_bwd`.  Consumes ``tape``: each step pops its entries and
     drops them once it is done with them, so the walk back holds only the
     tape still ahead of it.  ``gy`` becomes ``gx``, the gradient at the
-    residual stream, updated in place past each sub-layer."""
+    residual stream, updated in place past each sub-layer.  A weight that
+    enters a GEMM transposed is copied row-major where it is used, which
+    BLAS multiplies faster than a ``.T`` view."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
     text = tape.pop("text")
     scale = _default_scale(w.head_dim)
@@ -434,12 +439,12 @@ def _backward(w: BlockWeights, tape, plan, gy):
         rows = slice(r0, r0 + _MLP_ROWS)
         h1 = u3[rows] @ w.w1
         h1 += w.b1
-        gh1 = gy[rows] @ w.w2.T
+        gh1 = gy[rows] @ w.w2.T.copy()
         gh1 *= _gelu_grad(h1)
         g["w2"] += _gelu(h1, out=h1).T @ gy[rows]
         g["w1"] += u3[rows].T @ gh1
         g["b1"] += gh1.sum(axis=0)
-        gy[rows] += _layer_norm_bwd(gh1 @ w.w1.T, u3[rows], inv3[rows])
+        gy[rows] += _layer_norm_bwd(gh1 @ w.w1.T.copy(), u3[rows], inv3[rows])
     gx = gy
     del u3, inv3, h1, gh1
 
@@ -456,8 +461,8 @@ def _backward(w: BlockWeights, tape, plan, gy):
             g["cq"][h] += u2.T @ gqc
             g["ck"][h] += text.T @ gkc
             g["cv"][h] += text.T @ gvc
-            gu2 += gqc @ w.cq[h].T
-            gtext += gkc @ w.ck[h].T + gvc @ w.cv[h].T
+            gu2 += gqc @ w.cq[h].T.copy()
+            gtext += gkc @ w.ck[h].T.copy() + gvc @ w.cv[h].T.copy()
         gx += _layer_norm_bwd(gu2, u2, inv2)
         del gu2
     del u2, inv2
@@ -472,7 +477,7 @@ def _backward(w: BlockWeights, tape, plan, gy):
         q, k, v = _self_qkv(w, h, u, plan.rot)
         Qx, Kx, Vx = _folded(q * scale, k, v, lse)
         del q, k, v
-        ga = gx @ w.wo[h].T
+        ga = gx @ w.wo[h].T.copy()
         Gx = np.hstack([ga, -np.einsum("ij,ij->i", ga, a)[:, None]])  # [g, -D]
         del a, lse, ga
         gq, gk, gv = _folded_bwd(Qx, Kx, Vx, Gx, plan.blocks, scale)
@@ -481,7 +486,7 @@ def _backward(w: BlockWeights, tape, plan, gy):
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk
         g["wv"][h] += u.T @ gv
-        gu += gq @ w.wq[h].T + gk @ w.wk[h].T + gv @ w.wv[h].T
+        gu += gq @ w.wq[h].T.copy() + gk @ w.wk[h].T.copy() + gv @ w.wv[h].T.copy()
         del gq, gk, gv
     gx += _layer_norm_bwd(gu, u, inv)
     return g, gx, gtext

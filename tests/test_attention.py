@@ -344,6 +344,13 @@ def test_attn_config_defaults_and_validation():
     assert AttnConfig(r=np.float32(0.25), d=np.int64(4)).d == 4
 
 
+@pytest.mark.parametrize("d", [True, False])
+def test_attn_config_rejects_a_boolean_d(d):
+    # bool is an Integral, so d=True would pass as d=1
+    with pytest.raises(ValueError, match="integer"):
+        AttnConfig(d=d)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 5))
 def test_weight_rows_sum_to_one(seed, nq, nk):
     rng = np.random.default_rng(seed)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from relattn import block, checks
 from relattn.attention import AttnConfig, masked_self_attention_blockwise
@@ -235,6 +235,25 @@ def test_block_invariants_on_generated_layouts(spec, d):
     target = rng.standard_normal(x.shape)
     loss = loss_and_gradients(weights, x, text, spec, cfg, target)[0]
     assert loss == fm_loss(block_forward(weights, x, text, spec, cfg), target)
+
+
+@given(layout_specs(), st.sampled_from([1, 2, 8]))
+def test_video_rows_see_the_condition_rows_on_generated_layouts(spec, d):
+    # video omniscience through the whole block: every video query attends
+    # to every condition key, so moving the condition rows moves them all
+    assume(spec.n_entities > 0)
+    cfg = AttnConfig(d=d)
+    rng = np.random.default_rng(20)
+    weights = init_weights(rng, channels=6, text_channels=5, head_dim=6, hidden=8, dtype=np.float64)
+    x = rng.standard_normal((spec.n_tokens, 6))
+    text = rng.standard_normal((spec.text_len, 5))
+    bumped = x.copy()
+    bumped[spec.n_video_tokens :] += rng.standard_normal((spec.n_tokens - spec.n_video_tokens, 6))
+    video = slice(0, spec.n_video_tokens)
+    for dtype in (np.float32, np.float64):
+        w, xd, bd, td = weights.astype(dtype), x.astype(dtype), bumped.astype(dtype), text.astype(dtype)
+        moved = block_forward(w, bd, td, spec, cfg)[video] - block_forward(w, xd, td, spec, cfg)[video]
+        assert np.abs(moved).max(axis=1).min() > 1e-3
 
 
 @pytest.mark.parametrize("entry", ["block_forward", "loss_and_gradients", "grad_check"])

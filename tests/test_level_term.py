@@ -103,6 +103,19 @@ def test_block_rejects_a_mask_of_another_layout(mcam, match):
     rotary.assert_not_called()  # rejected before any compute
 
 
+@pytest.mark.parametrize("arg", ["csam", "mcam"])
+def test_block_rejects_a_mask_of_the_wrong_type(arg):
+    # a cover's blocks or an entity-level array passed as the mask itself
+    spec = corpus_layout("showcase")
+    weights, x, text = _problem(spec, 3)
+    wrong = {"csam": build_csam(spec).blocks, "mcam": build_mcam(spec).entity_levels}[arg]
+    with mock.patch.object(block, "rotary_table") as rotary, mock.patch.object(block, "build_csam") as csam:
+        with pytest.raises(TypeError, match=f"{arg} must be a {arg.capitalize()}Mask or None, got"):
+            block_forward(weights, x, text, spec, AttnConfig(), **{arg: wrong})
+    rotary.assert_not_called()  # rejected before any compute
+    csam.assert_not_called()
+
+
 @given(layout_specs(), st.sampled_from([1, 2, 8]), st.integers(0, 2**32 - 1))
 def test_level_mass_moves_monotonically_in_r(spec, d, seed):
     """For fixed Q, K and s >= 0 each row's weight mass on +1 caption tokens
