@@ -1,9 +1,14 @@
-"""The block's two attentions, each with the backward that recomputes its
-weights by its forward's own code: masked self-attention streamed over a
-block cover (:func:`_blockwise`, :func:`_folded_bwd`), and relational
-cross-attention (:func:`_attend`, :func:`_cross_head_bwd`), whose level term
-(:func:`_level_term`) and tile logits (:func:`_cross_logits`) serve both
-directions.  The dense reference kernels live in :mod:`relattn.reference`.
+"""The block's two attentions, as one function per head and direction:
+masked self-attention streamed over a block cover (:func:`_blockwise`,
+:func:`_self_head_bwd`), and relational cross-attention (:func:`_cross_head`,
+:func:`_cross_head_bwd`), whose level term (:func:`_level_term`) and tile
+logits (:func:`_cross_logits`) serve both directions.  The block passes
+none of them a scale: each takes 1/sqrt(head width) from its keys' width.
+Each backward recomputes its weights tile by tile instead of keeping them:
+the cross-attention's by its forward's own code, the self-attention's from
+its row log-sum-exp over the tiles of the three-pass forward, each filled
+key-major (P^T = K Q^T) where that forward fills it query-major.  The dense
+reference kernels live in :mod:`relattn.reference`.
 
 Every walk visits the tiles of :func:`_tiles`; cross-attention's span the
 whole caption.  Float32 self-attention, whose output bits the README loss
@@ -89,6 +94,8 @@ class AttnConfig:
     d: int = 8
 
     def __post_init__(self):
+        if isinstance(self.r, bool):  # a number to math.isfinite, as 1 or 0
+            raise ValueError(f"r must be a number, not a bool, got {self.r}")
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
         if not isinstance(self.d, numbers.Integral) or isinstance(self.d, bool) or self.d < 1:
@@ -347,6 +354,26 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
     return dQ, dK, dV
 
 
+def _self_head_bwd(head: list, blocks: Sequence[Block]):
+    """One self-attention head's gradients (dq, dk, dv) from ``head`` =
+    [q, k, v, a, lse, ga]: its rotated queries and keys, its values, the
+    output ``a`` and row log-sum-exp ``lse`` of :func:`_blockwise`, and the
+    gradient ``ga`` at ``a``.
+
+    Folds q, k and v as the forward does, but with ``lse`` as the shift,
+    and ``ga`` as ``[ga, -D]`` for D = rowsum(ga * a), for :func:`_folded_bwd`.
+    Empties ``head``, so that none of its arrays outlives the fold that
+    reads it and the tile walk holds only the folded operands."""
+    q, k, v, a, lse, ga = head
+    head.clear()
+    scale = _default_scale(k.shape[1])
+    Qx, Kx, Vx = _folded(q * scale, k, v, lse)
+    del q, k, v, lse
+    Gx = np.hstack([ga, -np.einsum("ij,ij->i", ga, a)[:, None]])
+    del a, ga
+    return _folded_bwd(Qx, Kx, Vx, Gx, blocks, scale)
+
+
 def _attend(Q, K, V, scale, level_term=None):
     """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
     and each query row's log-sum-exp of its scaled logits, from which
@@ -378,6 +405,12 @@ def _attend(Q, K, V, scale, level_term=None):
     np.log(total, out=total)
     total += peak  # the log-sum-exp
     return out, total
+
+
+def _cross_head(qc, kc, vc, plan):
+    """One cross-attention head: :func:`_attend` with the level term of
+    ``plan``, its output and row log-sum-exp."""
+    return _attend(qc, kc, vc, _default_scale(kc.shape[1]), _level_term(qc, kc, plan)[2])
 
 
 def _cross_logits(logits, Q, KT, rows, level_term, term, scale):
@@ -413,7 +446,7 @@ def _level_term(qc, kc, plan):
     return pooled, sim, (table, row_patch, plan.spec.n_video_tokens)
 
 
-def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
+def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
     """One cross-attention head's gradients w.r.t. its output projection
     ``co`` and its qc, kc and vc, from its queries, keys, values and row
     log-sum-exp ``lse`` and the gradient ``gx`` at the sub-layer's output.
@@ -422,7 +455,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
     Walks tiles of :func:`_tile_rows` rows and recomputes each tile's
     weights P = exp(logits - lse) by the forward's code, and from them its
     output a = P vc, instead of keeping either; with D = rowsum(ga * a) for
-    ga = gx co^T, the gradient of the logits before ``scale`` is dS = P *
+    ga = gx co^T, the gradient of the logits before the scale is dS = P *
     (ga vc^T - D).  A condition row's level term levels * |sim| * r has the
     gradient W = dS * sign(sim) * levels * r: each tile adds W^T pooled
     into kc's gradient and writes W kc over its rows of qc, which it no
@@ -430,6 +463,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale):
     back to every row of their patch.  No buffer spans more than a tile."""
     cells, row_patch, levels = plan.patches
     n, L, first = qc.shape[0], kc.shape[0], plan.spec.n_video_tokens
+    scale = _default_scale(kc.shape[1])
     pooled, slope, level_term = _level_term(qc, kc, plan)
     np.sign(slope, out=slope)  # sim, then d table / d sim
     slope *= levels

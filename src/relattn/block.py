@@ -18,14 +18,11 @@ import numpy as np
 from .attention import (
     AttnConfig,
     _as_matrix,
-    _attend,
     _blockwise,
+    _cross_head,
     _cross_head_bwd,
-    _default_scale,
-    _folded,
-    _folded_bwd,
     _layout_plan,
-    _level_term,
+    _self_head_bwd,
     _validate_blocks,
 )
 from .layout import LayoutSpec
@@ -259,12 +256,18 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=Non
         csam = build_csam(spec)
     else:
         _validate_blocks(csam.blocks, spec.n_tokens)
+        if csam.n != spec.n_tokens:  # its bits would be of another size
+            raise ValueError(f"csam is a mask over {csam.n} tokens, the layout has {spec.n_tokens}")
     rows = (mcam if mcam is not None else build_mcam(spec)).entity_levels
     if rows.shape != (spec.n_entities, spec.text_len):
         raise ValueError(
             f"mcam levels are {rows.shape[0]} entities x {rows.shape[1]} caption tokens, "
             f"the layout's {spec.n_entities} x {spec.text_len}"
         )
+    # the plan copies the levels into int8, which would truncate or wrap them
+    bad = ~((rows == 0) | (rows == 1) | (rows == -1))
+    if bad.any():
+        raise ValueError(f"mcam levels must be -1, 0 or +1, got {rows[bad][0]}")
     x = _as_matrix("z_tokens", np.asarray(z_tokens, dtype=dtype))
     text = _as_matrix("text", np.asarray(text, dtype=dtype))
     if text.dtype != x.dtype:  # and again in the latents' dtype, which may overflow
@@ -290,8 +293,9 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
     """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
     sub-layer added back to its input.
 
-    Self-attention streams over the plan's block cover, cross-attention adds
-    the level term of :func:`_level_term`.  Untaped, the self-attention
+    Each head's self-attention streams over the plan's block cover
+    (:func:`_blockwise`), and its cross-attention adds the plan's level
+    term (:func:`_cross_head`).  Untaped, the self-attention
     holds one head's working set: its q, k and v (the float32 kernel writes
     the output over q), the residual sum, which starts from the first
     head's output projection, and the normalized input ``u`` only until
@@ -332,13 +336,12 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
 
     cross_tape = []
     if text.shape[0] > 0:
-        scale = _default_scale(w.head_dim)
         u2, inv2 = _layer_norm(x1)
         for h in range(w.n_heads):
             qc = u2 @ w.cq[h]
             kc = text @ w.ck[h]
             vc = text @ w.cv[h]
-            a, lse = _attend(qc, kc, vc, scale, _level_term(qc, kc, plan)[2])
+            a, lse = _cross_head(qc, kc, vc, plan)
             if tape is not None:
                 cross_tape.append((kc, vc, lse))
             if h == 0:
@@ -383,8 +386,9 @@ def block_forward(
     the block-streaming kernel over the mask's block cover.  ``csam`` and
     ``mcam`` default to ``build_csam(spec)`` and ``build_mcam(spec)``.  A mask
     passed in is validated against ``spec`` (a disjoint cover of every query
-    row; a level row per entity and caption token) and used as given, so the
-    layout's own masks give the output of passing none, bit for bit.
+    row over its tokens; a row of levels -1, 0 or +1 per entity and caption
+    token) and used as given, so the layout's own masks give the output of
+    passing none, bit for bit.
     """
     w, x, text, plan = _prepare(weights, z_tokens, text, spec, cfg, csam, mcam)
     y = _forward(w, x, text, plan)
@@ -419,18 +423,17 @@ def _backward(w: BlockWeights, tape, plan, gy):
     ``_MLP_ROWS`` rows at a time; each cross-attention head's queries from
     ``u2``, and its weights and output tile by tile from the taped row
     log-sum-exp (:func:`_cross_head_bwd`); and each self-attention head's
-    rotated queries, keys and values from ``u`` by :func:`_self_qkv`, folded
-    by :func:`_folded` as the forward folds them but with the row
-    log-sum-exp as the shift, beside ``[g, -D]`` for D = rowsum(g a), for
-    :func:`_folded_bwd`.  Consumes ``tape``: each step pops its entries and
-    drops them once it is done with them, so the walk back holds only the
-    tape still ahead of it.  ``gy`` becomes ``gx``, the gradient at the
+    rotated queries, keys and values from ``u`` by :func:`_self_qkv`, which
+    :func:`_self_head_bwd` takes with the taped output, row log-sum-exp and
+    the gradient at that output.  Here stay the output projections, the
+    un-rotation and the weight gradients.  Consumes ``tape``: each step
+    pops its entries and drops them once it is done with them, so the walk
+    back holds only the tape still ahead of it.  ``gy`` becomes ``gx``, the gradient at the
     residual stream, updated in place past each sub-layer.  A weight that
     enters a GEMM transposed is copied row-major where it is used, which
     BLAS multiplies faster than a ``.T`` view."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
     text = tape.pop("text")
-    scale = _default_scale(w.head_dim)
 
     # mlp
     u3, inv3 = tape.pop("u3"), tape.pop("inv3")
@@ -454,9 +457,7 @@ def _backward(w: BlockWeights, tape, plan, gy):
     if text.shape[0] > 0:
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
-            gco, gqc, gkc, gvc = _cross_head_bwd(
-                u2 @ w.cq[h], *cross.pop(0), w.co[h], gx, plan, scale
-            )
+            gco, gqc, gkc, gvc = _cross_head_bwd(u2 @ w.cq[h], *cross.pop(0), w.co[h], gx, plan)
             g["co"][h] += gco
             g["cq"][h] += u2.T @ gqc
             g["ck"][h] += text.T @ gkc
@@ -474,14 +475,9 @@ def _backward(w: BlockWeights, tape, plan, gy):
     for h in range(w.n_heads):
         a, lse = heads.pop(0)
         g["wo"][h] += a.T @ gx
-        q, k, v = _self_qkv(w, h, u, plan.rot)
-        Qx, Kx, Vx = _folded(q * scale, k, v, lse)
-        del q, k, v
-        ga = gx @ w.wo[h].T.copy()
-        Gx = np.hstack([ga, -np.einsum("ij,ij->i", ga, a)[:, None]])  # [g, -D]
-        del a, lse, ga
-        gq, gk, gv = _folded_bwd(Qx, Kx, Vx, Gx, plan.blocks, scale)
-        del Qx, Kx, Vx, Gx
+        head = [*_self_qkv(w, h, u, plan.rot), a, lse, gx @ w.wo[h].T.copy()]
+        del a, lse  # head holds them alone, and _self_head_bwd empties it
+        gq, gk, gv = _self_head_bwd(head, plan.blocks)
         gq, gk = rotate(gq, cos, -sin), rotate(gk, cos, -sin)
         g["wq"][h] += u.T @ gq
         g["wk"][h] += u.T @ gk

@@ -351,6 +351,13 @@ def test_attn_config_rejects_a_boolean_d(d):
         AttnConfig(d=d)
 
 
+@pytest.mark.parametrize("r", [True, False])
+def test_attn_config_rejects_a_boolean_r(r):
+    # bool is a number, so r=True would pass as r=1
+    with pytest.raises(ValueError, match="r must be a number, not a bool"):
+        AttnConfig(r=r)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 5))
 def test_weight_rows_sum_to_one(seed, nq, nk):
     rng = np.random.default_rng(seed)

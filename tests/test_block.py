@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from relattn import block, checks
+from relattn import attention, block, checks
 from relattn.attention import AttnConfig, masked_self_attention_blockwise
 from relattn.block import (
     BlockWeights,
@@ -254,6 +254,30 @@ def test_video_rows_see_the_condition_rows_on_generated_layouts(spec, d):
         w, xd, bd, td = weights.astype(dtype), x.astype(dtype), bumped.astype(dtype), text.astype(dtype)
         moved = block_forward(w, bd, td, spec, cfg)[video] - block_forward(w, xd, td, spec, cfg)[video]
         assert np.abs(moved).max(axis=1).min() > 1e-3
+
+
+@given(layout_specs(), st.sampled_from([1, 2, 8]))
+def test_r0_equals_the_block_without_level_term_on_generated_layouts(spec, d):
+    # r=0 identity: a level term of levels * |sim| * 0 adds nothing, bit for bit
+    cfg = AttnConfig(r=0.0, d=d)
+    rng = np.random.default_rng(21)
+    weights = init_weights(rng, channels=6, text_channels=5, head_dim=6, hidden=8, dtype=np.float64)
+    x = rng.standard_normal((spec.n_tokens, 6))
+    text = rng.standard_normal((spec.text_len, 5))
+    attend, dropped = attention._attend, []
+
+    def without_level_term(Q, K, V, scale, level_term=None):
+        dropped.append(level_term is not None)
+        return attend(Q, K, V, scale)
+
+    for dtype in (np.float32, np.float64):
+        w, xd, td = weights.astype(dtype), x.astype(dtype), text.astype(dtype)
+        y = block_forward(w, xd, td, spec, cfg)
+        dropped.clear()
+        with mock.patch.object(attention, "_attend", without_level_term):
+            plain = block_forward(w, xd, td, spec, cfg)
+        assert dropped == [True] * (weights.n_heads if spec.text_len else 0)
+        assert plain.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("entry", ["block_forward", "loss_and_gradients", "grad_check"])

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relattn import block
+from relattn import attention, block
 from relattn.attention import AttnConfig
 from relattn.block import block_forward, init_weights, loss_and_gradients
 from relattn.corpus import corpus_layout, make_spec
-from relattn.masks import build_csam, build_mcam
+from relattn.masks import CsamMask, McamMask, build_csam, build_mcam
 from relattn.reference import compute_scaling_s, relational_cross_attention
 
 from strategies import layout_specs
@@ -32,14 +32,14 @@ def _cross_calls(fn, *args):
     """Run ``fn`` and record (qc, kc, vc, output) of every cross-attention
     kernel call the block makes."""
     calls = []
-    attend = block._attend
+    attend = attention._attend
 
     def recording(Q, K, V, scale, level_term):
         out, lse = attend(Q, K, V, scale, level_term)
         calls.append((Q, K, V, out))
         return out, lse
 
-    with mock.patch.object(block, "_attend", recording):
+    with mock.patch.object(attention, "_attend", recording):
         fn(*args)
     return calls
 
@@ -101,6 +101,31 @@ def test_block_rejects_a_mask_of_another_layout(mcam, match):
         with pytest.raises(ValueError, match=match):
             block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
     rotary.assert_not_called()  # rejected before any compute
+
+
+@pytest.mark.parametrize("level, dtype", [(0.5, np.float64), (2, np.int8), (300, np.int16)])
+def test_block_rejects_a_level_outside_minus_one_to_one(level, dtype):
+    # the plan's int8 table truncated 0.5 to 0 and wrapped 300 to 44
+    spec = corpus_layout("showcase")
+    weights, x, text = _problem(spec, 3)
+    rows = build_mcam(spec).entity_levels.astype(dtype)
+    rows[2, 3] = level
+    mcam = McamMask(rows, spec.n_video_tokens, spec.hw)
+    with mock.patch.object(block, "rotary_table") as rotary:
+        with pytest.raises(ValueError, match=f"mcam levels must be -1, 0 or \\+1, got {level}"):
+            block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
+    rotary.assert_not_called()  # rejected before any compute
+
+
+def test_block_rejects_a_cover_over_another_token_count():
+    # the blocks are the layout's own, only the mask's n is not
+    spec = corpus_layout("showcase")
+    weights, x, text = _problem(spec, 3)
+    csam = CsamMask(5, build_csam(spec).blocks)
+    with mock.patch.object(block, "rotary_table") as rotary:
+        with pytest.raises(ValueError, match=f"csam is a mask over 5 tokens, the layout has {spec.n_tokens}"):
+            block_forward(weights, x, text, spec, AttnConfig(), csam=csam)
+    rotary.assert_not_called()
 
 
 @pytest.mark.parametrize("arg", ["csam", "mcam"])

@@ -2,8 +2,9 @@
 
 The modules the block runs must not reach back into the reference module,
 so that everything ``block_forward`` and ``loss_and_gradients`` execute can
-be read without it.  Within them, the layout plan is built in one place and
-the pooling format of the level term stays in ``relattn.attention``.
+be read without it.  Within them, the layout plan is built in one place,
+and the pooling format of the level term and each attention head's work
+stay in ``relattn.attention``.
 """
 
 import ast
@@ -88,3 +89,27 @@ def test_block_leaves_the_pooling_format_to_attention():
     assert not names & {"_patch_sum", "_patch_geometry"}
     # the plan's patches are read by attention's level term alone
     assert not any(isinstance(node, ast.Attribute) and node.attr == "patches" for node in ast.walk(tree))
+
+
+def test_block_leaves_each_head_s_attention_to_attention():
+    # the folded operands, the level-term tuple and the attention scale are
+    # attention's: block calls one function per head and direction
+    tree = ast.parse((SRC / "block.py").read_text())
+    _, names = _imports_and_definitions(tree)
+    assert not names & {"_folded", "_folded_bwd", "_default_scale", "_attend", "_level_term"}
+    from_attention = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "attention"
+        for alias in node.names
+    }
+    assert from_attention == {
+        "AttnConfig",
+        "_as_matrix",
+        "_blockwise",
+        "_cross_head",
+        "_cross_head_bwd",
+        "_layout_plan",
+        "_self_head_bwd",
+        "_validate_blocks",
+    }

@@ -260,7 +260,7 @@ def test_streamed_cross_backward_matches_dense_oracle(tile, d):
     lse = _logsumexp((qc @ kc.T + additive) * scale)
     want = cross_attention_grads_oracle(qc, kc, vc, co, gx, spec, levels, cfg.r, d, scale)
     with mock.patch.object(attention, "_tile_rows", lambda L: tile):
-        got = attention._cross_head_bwd(qc, kc, vc, lse, co, gx, plan, scale)
+        got = attention._cross_head_bwd(qc, kc, vc, lse, co, gx, plan)
     for g, ref in zip(got, want):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
 
