@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .layout import LayoutSpec
+from .layout import LayoutSpec, _check_int
 from .masks import Block
 
 # query rows per tile: the streaming kernels hold one tile x keys logits
@@ -98,8 +97,7 @@ class AttnConfig:
             raise ValueError(f"r must be a number, not a bool, got {self.r}")
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
-        if not isinstance(self.d, numbers.Integral) or isinstance(self.d, bool) or self.d < 1:
-            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
+        _check_int("d", self.d, 1)
 
 
 def _as_matrix(name: str, x: np.ndarray, floating: bool = True) -> np.ndarray:
@@ -115,6 +113,14 @@ def _as_matrix(name: str, x: np.ndarray, floating: bool = True) -> np.ndarray:
 
 def _default_scale(k_cols: int) -> float:
     return 1.0 / math.sqrt(k_cols)
+
+
+def _scale(scale: float | None, K: np.ndarray) -> float:
+    """``scale``, or 1/sqrt(K's width) for None; a non-finite one is refused,
+    as it would make every output NaN."""
+    if scale is not None and not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
+    return _default_scale(K.shape[1]) if scale is None else scale
 
 
 def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
@@ -185,12 +191,10 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     -> GEMM on the operands of :func:`_folded`, which carry ``-c`` into the
     logits and the row sum into the output, so nothing is rescaled along
     the way, however a row's keys are split.  Last, one division by the
-    row sums.  Its arguments come unchecked, as the block builds them, and
+    row sums.  Its arrays come unchecked, as the block builds them, and
     the float32 route writes its output over ``Q``.
     """
-    n = Q.shape[0]
-    if scale is None:
-        scale = _default_scale(K.shape[1])
+    n, scale = Q.shape[0], _scale(scale, K)
     dt = np.result_type(Q, K, V)
     if dt == np.float32 and sum(b.q1 - b.q0 for b in blocks) == n:
         return _one_pass(Q, K, V, blocks, scale)

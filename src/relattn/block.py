@@ -25,7 +25,7 @@ from .attention import (
     _self_head_bwd,
     _validate_blocks,
 )
-from .layout import LayoutSpec
+from .layout import LayoutSpec, _check_int
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
 from .rotary import default_config, position_array, rotary_table, rotate
 
@@ -289,32 +289,37 @@ def _self_qkv(w: BlockWeights, h, u, rot):
     return rotate(u @ w.wq[h], cos, sin), rotate(u @ w.wk[h], cos, sin), u @ w.wv[h]
 
 
+def _head_sum(total, h, a, proj):
+    """``total`` + head ``h``'s output ``a`` @ ``proj[h]``; head 0 starts the
+    sum, its -0.0 turned to +0.0 as a sum from zeros gives, bit for bit."""
+    if h == 0:
+        total = a @ proj[0]
+        total += 0.0
+    else:
+        total += a @ proj[h]
+    return total
+
+
 def _forward(w: BlockWeights, x, text, plan, tape=None):
     """LN -> self-attention -> LN -> cross-attention -> LN -> MLP, each
-    sub-layer added back to its input.
+    sub-layer added back to its input.  Given a ``tape`` dict, each sub-layer
+    records one entry of what its mirror in :func:`_backward` cannot cheaply
+    rebuild, none of it n x caption length or wider than a head."""
+    x = _self_layer(w, x, plan, tape)
+    x = _cross_layer(w, x, text, plan, tape)
+    return _mlp_layer(w, x, tape)
 
-    Each head's self-attention streams over the plan's block cover
-    (:func:`_blockwise`), and its cross-attention adds the plan's level
-    term (:func:`_cross_head`).  Untaped, the self-attention
-    holds one head's working set: its q, k and v (the float32 kernel writes
-    the output over q), the residual sum, which starts from the first
-    head's output projection, and the normalized input ``u`` only until
-    the last head is projected; the cross-attention's sum starts from its
-    first head's projection too.  A ``tape`` dict records what
-    :func:`_backward` cannot cheaply rebuild: the normalized inputs ``u``,
-    ``u2``, ``u3`` with their ``inv`` scales and ``text``; per head the
-    self-attention output and row log-sum-exp; and per head the
-    cross-attention keys, values and row log-sum-exp.  The projections, the
-    MLP's pre-activation and GELU, and the cross-attention weights and
-    outputs are rebuilt from these.  Nothing on the tape is n x caption
-    length or wider than a head.  Each sub-layer's activations go onto the
-    tape as it ends and the forward drops them, and the GELU overwrites the
-    pre-activation it reads.
-    """
+
+def _self_layer(w: BlockWeights, x, plan, tape=None):
+    """x + the self-attention of LN(x), each head streamed over the plan's
+    block cover (:func:`_blockwise`).  Untaped, it holds one head's working
+    set: its q, k and v (the float32 kernel writes the output over q), the
+    residual sum and the normalized input ``u`` only until the last head is
+    projected.  Tapes ``u``, its scale and each head's output and lse."""
     u, inv = _layer_norm(x)
-    self_tape = []
+    sa, heads = None, []
     if tape is not None:
-        tape.update(text=text, u=u, inv=inv, self=self_tape)
+        tape["self"] = (u, inv, heads)
     del inv
     for h in range(w.n_heads):
         qkv = _self_qkv(w, h, u, plan.rot)
@@ -323,50 +328,46 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
         a, lse = _blockwise(*qkv, plan.blocks)
         del qkv
         if tape is not None:
-            self_tape.append((a, lse))
-        if h == 0:
-            sa = a @ w.wo[0]
-            sa += 0.0  # -0.0 -> +0.0: zeros + a wo, bit for bit
-        else:
-            sa += a @ w.wo[h]
+            heads.append((a, lse))
+        sa = _head_sum(sa, h, a, w.wo)
         del a, lse
-    del self_tape
     sa += x  # x + sa, bit for bit
-    x1 = sa
+    return sa
 
-    cross_tape = []
+
+def _cross_layer(w: BlockWeights, x, text, plan, tape=None):
+    """x + the relational cross-attention of LN(x) over ``text``, each head
+    with the plan's level term (:func:`_cross_head`); x itself without a
+    caption.  Tapes ``text``, LN(x) ``u2`` with its scale and each head's row
+    log-sum-exp, from which the backward rebuilds all else."""
+    u2 = inv2 = ca = None
+    lses = []
     if text.shape[0] > 0:
-        u2, inv2 = _layer_norm(x1)
+        u2, inv2 = _layer_norm(x)
         for h in range(w.n_heads):
-            qc = u2 @ w.cq[h]
-            kc = text @ w.ck[h]
-            vc = text @ w.cv[h]
+            qc, kc, vc = u2 @ w.cq[h], text @ w.ck[h], text @ w.cv[h]
             a, lse = _cross_head(qc, kc, vc, plan)
             if tape is not None:
-                cross_tape.append((kc, vc, lse))
-            if h == 0:
-                ca = a @ w.co[0]
-                ca += 0.0  # -0.0 -> +0.0: zeros + a co, bit for bit
-            else:
-                ca += a @ w.co[h]
+                lses.append(lse)
+            ca = _head_sum(ca, h, a, w.co)
         del qc, kc, vc, a, lse
-        ca += x1
-        x2 = ca
-    else:
-        u2 = inv2 = None
-        x2 = x1
+        ca += x
     if tape is not None:
-        tape.update(u2=u2, inv2=inv2, cross=cross_tape)
-    del u2, inv2, cross_tape, sa, x1
+        tape["cross"] = (text, u2, inv2, lses)
+    return x if ca is None else ca
 
-    u3, inv3 = _layer_norm(x2)
+
+def _mlp_layer(w: BlockWeights, x, tape=None):
+    """x + the MLP of LN(x), its GELU written over the pre-activation it
+    reads.  Tapes the normalized input ``u3`` and its ``inv3`` scale."""
+    u3, inv3 = _layer_norm(x)
     h1 = u3 @ w.w1
     h1 += w.b1
     if tape is not None:
-        tape.update(u3=u3, inv3=inv3)
+        tape["mlp"] = (u3, inv3)
     del u3, inv3
     y = _gelu(h1, out=h1) @ w.w2
-    y += x2
+    y += x
     y += w.b2
     return y
 
@@ -416,61 +417,71 @@ def plain_block_forward(
 
 def _backward(w: BlockWeights, tape, plan, gy):
     """Gradients of a scalar loss w.r.t. every weight array and both inputs,
-    given the loss gradient at the block output.
-
-    Rebuilds what :func:`_forward` left off its tape by the forward's own
-    operations: the MLP's pre-activation and GELU from ``u3``, a chunk of
-    ``_MLP_ROWS`` rows at a time; each cross-attention head's queries from
-    ``u2``, and its weights and output tile by tile from the taped row
-    log-sum-exp (:func:`_cross_head_bwd`); and each self-attention head's
-    rotated queries, keys and values from ``u`` by :func:`_self_qkv`, which
-    :func:`_self_head_bwd` takes with the taped output, row log-sum-exp and
-    the gradient at that output.  Here stay the output projections, the
-    un-rotation and the weight gradients.  Consumes ``tape``: each step
-    pops its entries and drops them once it is done with them, so the walk
-    back holds only the tape still ahead of it.  ``gy`` becomes ``gx``, the gradient at the
-    residual stream, updated in place past each sub-layer.  A weight that
-    enters a GEMM transposed is copied row-major where it is used, which
-    BLAS multiplies faster than a ``.T`` view."""
+    given the loss gradient ``gy`` at the block output, which becomes ``gx``,
+    the gradient at the residual stream, updated in place past each
+    sub-layer.  Each sub-layer's mirror, the last first, pops its forward's
+    tape entry whole and rebuilds what the forward left off it by the
+    forward's own operations, so the walk back holds only the tape still
+    ahead of it and leaves the tape empty.  A weight that enters a GEMM
+    transposed is copied row-major where it is used, which BLAS multiplies
+    faster than a ``.T`` view."""
     g = {name: np.zeros_like(arr) for name, arr in w.arrays().items()}
-    text = tape.pop("text")
+    _mlp_layer_bwd(w, tape, g, gy)
+    gtext = _cross_layer_bwd(w, tape, plan, g, gy)
+    _self_layer_bwd(w, tape, plan, g, gy)
+    return g, gy, gtext
 
-    # mlp
-    u3, inv3 = tape.pop("u3"), tape.pop("inv3")
-    g["b2"] += gy.sum(axis=0)
-    for r0 in range(0, len(gy), _MLP_ROWS):
+
+def _mlp_layer_bwd(w: BlockWeights, tape, g, gx):
+    """:func:`_mlp_layer`'s weight gradients into ``g``, and ``gx`` carried
+    past it.  Rebuilds the pre-activation and GELU from ``u3``, a chunk of
+    ``_MLP_ROWS`` rows at a time."""
+    u3, inv3 = tape.pop("mlp")
+    g["b2"] += gx.sum(axis=0)
+    for r0 in range(0, len(gx), _MLP_ROWS):
         rows = slice(r0, r0 + _MLP_ROWS)
         h1 = u3[rows] @ w.w1
         h1 += w.b1
-        gh1 = gy[rows] @ w.w2.T.copy()
+        gh1 = gx[rows] @ w.w2.T.copy()
         gh1 *= _gelu_grad(h1)
-        g["w2"] += _gelu(h1, out=h1).T @ gy[rows]
+        g["w2"] += _gelu(h1, out=h1).T @ gx[rows]
         g["w1"] += u3[rows].T @ gh1
         g["b1"] += gh1.sum(axis=0)
-        gy[rows] += _layer_norm_bwd(gh1 @ w.w1.T.copy(), u3[rows], inv3[rows])
-    gx = gy
-    del u3, inv3, h1, gh1
+        gx[rows] += _layer_norm_bwd(gh1 @ w.w1.T.copy(), u3[rows], inv3[rows])
 
-    # cross-attention
+
+def _cross_layer_bwd(w: BlockWeights, tape, plan, g, gx):
+    """:func:`_cross_layer`'s weight gradients into ``g``, ``gx`` carried past
+    it, and the gradient at ``text``.  Rebuilds each head's queries, keys and
+    values by the forward's GEMMs, and its weights and output tile by tile
+    from the taped row log-sum-exp (:func:`_cross_head_bwd`)."""
+    text, u2, inv2, lses = tape.pop("cross")
     gtext = np.zeros_like(text)
-    u2, inv2, cross = tape.pop("u2"), tape.pop("inv2"), tape.pop("cross")
     if text.shape[0] > 0:
         gu2 = np.zeros_like(u2)
         for h in range(w.n_heads):
-            gco, gqc, gkc, gvc = _cross_head_bwd(u2 @ w.cq[h], *cross.pop(0), w.co[h], gx, plan)
+            qkv = u2 @ w.cq[h], text @ w.ck[h], text @ w.cv[h]
+            gco, gqc, gkc, gvc = _cross_head_bwd(*qkv, lses.pop(0), w.co[h], gx, plan)
+            del qkv
             g["co"][h] += gco
             g["cq"][h] += u2.T @ gqc
             g["ck"][h] += text.T @ gkc
             g["cv"][h] += text.T @ gvc
             gu2 += gqc @ w.cq[h].T.copy()
             gtext += gkc @ w.ck[h].T.copy() + gvc @ w.cv[h].T.copy()
+            del gco, gqc, gkc, gvc
         gx += _layer_norm_bwd(gu2, u2, inv2)
-        del gu2
-    del u2, inv2
+    return gtext
 
-    # self-attention
+
+def _self_layer_bwd(w: BlockWeights, tape, plan, g, gx):
+    """:func:`_self_layer`'s weight gradients into ``g``, and ``gx`` carried
+    past it.  Rebuilds each head's rotated queries, keys and values from
+    ``u`` by :func:`_self_qkv`, which :func:`_self_head_bwd` takes with the
+    taped output, row log-sum-exp and the gradient at that output.  Here stay
+    the output projections, the un-rotation and the weight gradients."""
     cos, sin = plan.rot
-    u, inv, heads = tape.pop("u"), tape.pop("inv"), tape.pop("self")
+    u, inv, heads = tape.pop("self")
     gu = np.zeros_like(u)
     for h in range(w.n_heads):
         a, lse = heads.pop(0)
@@ -485,7 +496,6 @@ def _backward(w: BlockWeights, tape, plan, gy):
         gu += gq @ w.wq[h].T.copy() + gk @ w.wk[h].T.copy() + gv @ w.wv[h].T.copy()
         del gq, gk, gv
     gx += _layer_norm_bwd(gu, u, inv)
-    return g, gx, gtext
 
 
 def _as_target(target, shape):
@@ -603,10 +613,9 @@ def grad_check(
     """
     if not 1e-5 <= epsilon <= 1e-2:
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
-    if max_coords < 1:
-        raise ValueError(f"max_coords must be >= 1, got {max_coords}")
-    if arrays is not None and not arrays:
-        raise ValueError("arrays must name at least one array")
+    _check_int("max_coords", max_coords, 1)
+    if arrays is not None and (not arrays or len(set(arrays)) < len(arrays)):
+        raise ValueError(f"arrays must name at least one array, each once, got {arrays}")
     known = [*weights.arrays(), *(("z_tokens", "text") if check_inputs else ())]
     names = arrays if arrays is not None else known
     unknown = [n for n in names if n not in known]
@@ -677,6 +686,7 @@ def demo_fit(
 ) -> list[float]:
     """Adam-fit one block to a fixed synthetic velocity target; returns the
     per-step loss trace (length steps + 1, starting at the untrained loss)."""
+    _check_int("steps", steps, 0)
     cfg = cfg if cfg is not None else AttnConfig()
     rng = np.random.default_rng(seed)
     w = init_weights(rng, channels, text_channels, n_heads, head_dim, hidden, dtype=np.float64)

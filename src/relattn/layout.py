@@ -10,6 +10,7 @@ That declaration order fixes every derived index in this package.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,12 @@ KINDS = ("background", "object", "face", "attribute")
 SUBJECT_KINDS = ("face", "attribute")
 
 MAX_ATTRIBUTES_PER_GROUP = 3
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least``; a bool is not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class LayoutError(ValueError):

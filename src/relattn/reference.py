@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_sum
-from .layout import SUBJECT_KINDS, LayoutSpec
+from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_sum, _scale
+from .layout import SUBJECT_KINDS, LayoutSpec, _check_int
 from .masks import Block, CsamMask
 
 
@@ -25,7 +25,7 @@ def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool
         raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if K.shape[0] == 0:
         raise ValueError("attention requires at least one key")
-    scale = scale if scale is not None else _default_scale(K.shape[1])
+    scale = _scale(scale, K)
     out = _attend(Q, K, V, scale)[0]
     return (out, _weights(Q, K, scale)) if return_weights else out
 
@@ -62,8 +62,7 @@ def masked_self_attention_naive(
     if not mask.bits.any(axis=1).all():
         raise ValueError("mask has a query row with no admissible key")
 
-    if scale is None:
-        scale = _default_scale(K.shape[1])
+    scale = _scale(scale, K)
     logits = (Q @ K.T) * Q.dtype.type(scale)
     logits = np.where(mask.bits, logits, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)
@@ -83,8 +82,7 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
     token of the patch.  d=1 reduces to the exact |Q K^T|.
     """
     Q, K_text = _as_matrix("Q", Q), _as_matrix("K_text", K_text)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_int("d", d, 1)
     if Q.shape[0] != spec.n_tokens:
         raise ValueError(f"Q must have {spec.n_tokens} rows (z' layout), got {Q.shape[0]}")
     if Q.shape[1] != K_text.shape[1]:

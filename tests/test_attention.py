@@ -254,6 +254,10 @@ def test_scaling_validates():
         compute_scaling_s(rnd((spec.n_tokens + 1, 4)), rnd((2, 4)), spec, 2)
     with pytest.raises(ValueError):
         compute_scaling_s(rnd((spec.n_tokens, 4)), rnd((2, 5)), spec, 2)
+    # AttnConfig's rule: True was taken as 1, and 2.5 raised numpy's TypeError
+    for d in (True, 2.5):
+        with pytest.raises(ValueError, match="d must be an integer >= 1"):
+            compute_scaling_s(rnd((spec.n_tokens, 4)), rnd((2, 4)), spec, d)
 
 
 # --- relational cross-attention ----------------------------------------------
@@ -430,6 +434,27 @@ def test_non_finite_input_rejected(kernel, arg):
     args[arg][0, 0] = np.nan
     with pytest.raises(ValueError, match=f"{arg} contains non-finite"):
         call(args)
+
+
+SCALED_KERNELS = {
+    "standard_attention": lambda Q, K, V, scale: standard_attention(Q, K, V, scale),
+    "masked_self_attention_blockwise": lambda Q, K, V, scale: masked_self_attention_blockwise(
+        Q, K, V, build_csam(FINITE_SPEC).blocks, scale
+    ),
+    "masked_self_attention_naive": lambda Q, K, V, scale: masked_self_attention_naive(
+        Q, K, V, build_csam(FINITE_SPEC), scale
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", SCALED_KERNELS)
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_non_finite_scale_rejected(kernel, scale):
+    # each kernel returned an all-NaN output
+    Q, K, V = (rnd((_N, 4), seed) for seed in range(3))
+    assert np.isfinite(SCALED_KERNELS[kernel](Q, K, V, 0.5)).all()
+    with pytest.raises(ValueError, match="scale must be finite"):
+        SCALED_KERNELS[kernel](Q, K, V, scale)
 
 
 @pytest.mark.parametrize(

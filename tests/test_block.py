@@ -399,16 +399,38 @@ def test_grad_check_epsilon_range():
 
 
 @pytest.mark.parametrize(
-    "arrays, check_inputs", [(["nope"], False), (["z_tokens"], False), (["wq", "nope"], True)]
+    "arrays, check_inputs",
+    [(["nope"], False), (["z_tokens"], False), (["wq", "nope"], True), (["b2", "b2"], False)],
 )
 def test_grad_check_rejects_unknown_names_before_the_forward(arrays, check_inputs):
+    # a repeated name checked every coordinate of its array twice
     spec, weights, x, text = _small_problem()
     with mock.patch.object(block, "_forward", wraps=block._forward) as forward:
-        with pytest.raises(ValueError, match="unknown array name"):
+        with pytest.raises(ValueError, match="unknown array name|each once"):
             grad_check(
                 weights, x, text, spec, AttnConfig(), np.zeros_like(x),
                 arrays=arrays, check_inputs=check_inputs,
             )
+    assert forward.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs, match",
+    [
+        (grad_check, {"max_coords": 2.5}, "max_coords"),
+        (grad_check, {"max_coords": True}, "max_coords"),
+        (demo_fit, {"steps": -1}, "steps"),
+    ],
+    ids=["fractional-max_coords", "boolean-max_coords", "negative-steps"],
+)
+def test_bad_counts_are_rejected_before_the_forward(fn, kwargs, match):
+    # a fractional or boolean max_coords raised numpy's TypeError after the
+    # analytic pass, and steps=-1 returned one loss, not steps + 1
+    spec, weights, x, text = _small_problem()
+    args = (weights, x, text, spec, AttnConfig(), np.zeros_like(x)) if fn is grad_check else (spec,)
+    with mock.patch.object(block, "_forward", wraps=block._forward) as forward:
+        with pytest.raises(ValueError, match=match):
+            fn(*args, **kwargs)
     assert forward.call_count == 0
 
 

@@ -310,17 +310,22 @@ def test_taping_leaves_the_forward_output_unchanged(spec):
     tape: dict = {}
     taped = _forward(w, x, text, plan, tape)
     assert taped.tobytes() == _forward(w, x, text, plan).tobytes()
-    assert set(tape) == {"text", "u", "inv", "self", "u2", "inv2", "cross", "u3", "inv3"}
-    # each cross-attention head tapes its keys, values and the log-sum-exp
-    # of each row's scaled logits, level term included
+    # one entry per sub-layer, each written by its forward and popped whole
+    # by its mirror in the backward
+    assert set(tape) == {"self", "cross", "mlp"}
+    # each cross-attention head tapes only the log-sum-exp of each row's
+    # scaled logits, level term included: the backward rebuilds its keys and
+    # values from the taped caption
+    taped_text, u2, _, lses = tape["cross"]
+    assert taped_text is text and len(lses) == (w.n_heads if spec.text_len else 0)
     levels = build_mcam(spec).levels
-    for h, (kc, vc, lse) in enumerate(tape["cross"]):
-        qc = tape["u2"] @ w.cq[h]
-        np.testing.assert_array_equal(kc, text @ w.ck[h])
-        np.testing.assert_array_equal(vc, text @ w.cv[h])
+    for h, lse in enumerate(lses):
+        qc, kc = u2 @ w.cq[h], text @ w.ck[h]
         s = compute_scaling_s(qc, kc, spec, cfg.d)
         want = _logsumexp((qc @ kc.T + levels * s * cfg.r) / np.sqrt(w.head_dim))
         np.testing.assert_allclose(lse, want, rtol=0, atol=1e-12)
+    _backward(w, tape, plan, np.ones_like(taped))
+    assert tape == {}
 
 
 def test_plain_block_is_the_full_cover_without_level_term():
@@ -353,9 +358,11 @@ def test_training_memory_stays_below_dense_weights(traced_peak_mib):
     # residual stream and the output gradient in place, at 4.56 and 17.9
     # MiB, and one that also walks 2-D tiles of at most _KEY_TILE keys,
     # streams the cross-attention backward from a row log-sum-exp and the
-    # MLP backward in row chunks at 2.54 and 9.16 MiB
+    # MLP backward in row chunks at 2.54 and 9.16 MiB, and one that rebuilds
+    # the cross-attention keys and values and drops each cross head's
+    # gradients before the next at 2.41 and 9.15 MiB
     assert bench_layout().n_tokens == 1872
-    assert _training_peak(traced_peak_mib, bench_layout()) < 2.8
+    assert _training_peak(traced_peak_mib, bench_layout()) < 2.55
     assert ROADMAP_LAYOUT.n_tokens == 7488
     assert _training_peak(traced_peak_mib, ROADMAP_LAYOUT) < 10.1
 
@@ -364,14 +371,15 @@ def test_training_memory_does_not_grow_with_the_caption(traced_peak_mib):
     # a 312-token caption, the length sample-reuse samples with: taping
     # each head's dense n x L cross-attention weights peaked at 19.6 MiB at
     # n=1872 and 77.8 MiB at n=7488; streamed from a row log-sum-exp, at
-    # 2.71 and 9.26 MiB
+    # 2.71 and 9.26 MiB, and with rebuilt keys and values and each cross
+    # head's gradients dropped before the next, at 2.61 and 9.18 MiB
     short = bench_layout()
     long = make_spec(2, 12, 12, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
     large = make_spec(2, 24, 24, bg=1, objs=2, groups=(1, 1, 1, 1), span_len=24, gap=4)
     assert (short.text_len, long.text_len, large.text_len) == (34, 312, 312)
     assert long.n_tokens == short.n_tokens == 1872 and large.n_tokens == 7488
     peak = _training_peak(traced_peak_mib, long)
-    assert peak < 3.0
+    assert peak < 2.75
     assert peak <= 1.1 * _training_peak(traced_peak_mib, short)
     assert _training_peak(traced_peak_mib, large) < 10.3
 
