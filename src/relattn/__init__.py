@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 from .attention import AttnConfig, masked_self_attention_blockwise  # noqa: E402
 from .block import (  # noqa: E402
     BlockWeights,
-    FlowSample,
     block_forward,
     demo_fit,
     flow_interpolate,
@@ -70,8 +69,6 @@ from .reference import (  # noqa: E402
     text_level_of,
 )
 from .rotary import (  # noqa: E402
-    RotaryConfig,
-    default_config,
     default_split,
     position_array,
     rotary_table,
@@ -84,20 +81,17 @@ __all__ = [
     "BlockWeights",
     "CsamMask",
     "Entity",
-    "FlowSample",
     "LayoutError",
     "LayoutInvariantError",
     "LayoutSchemaError",
     "LayoutSpec",
     "LayoutSyntaxError",
     "McamMask",
-    "RotaryConfig",
     "block_forward",
     "build_csam",
     "build_mcam",
     "compute_scaling_s",
     "decompose_blocks",
-    "default_config",
     "default_split",
     "demo_fit",
     "flow_interpolate",

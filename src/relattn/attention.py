@@ -439,15 +439,15 @@ def _cross_logits(logits, Q, KT, rows, level_term, term, scale):
 def _level_term(qc, kc, plan):
     """A head's pooled queries (``qc``'s means over the d x d patches of
     ``plan``), ``sim`` = pooled kc^T and the level term :func:`_cross_logits`
-    reads: the table levels * |sim| * r by patch, each token's patch, the
-    first condition row."""
+    reads: the table levels * |sim| * r by patch, each token's patch, and
+    the first row it reaches (``plan.first``)."""
     cells, row_patch, levels = plan.patches
     pooled = _patch_sum(qc, plan.spec, plan.d) / cells
     sim = pooled @ _transposed(kc)
     table = np.abs(sim)
     table *= table.dtype.type(plan.r)
     table *= levels  # level * (s * r), as the dense kernel's levels * s * r
-    return pooled, sim, (table, row_patch, plan.spec.n_video_tokens)
+    return pooled, sim, (table, row_patch, plan.first)
 
 
 def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
@@ -466,7 +466,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
     longer needs, and after the walk the patch means of those rows flow
     back to every row of their patch.  No buffer spans more than a tile."""
     cells, row_patch, levels = plan.patches
-    n, L, first = qc.shape[0], kc.shape[0], plan.spec.n_video_tokens
+    n, L, first = qc.shape[0], kc.shape[0], plan.first
     scale = _default_scale(kc.shape[1])
     pooled, slope, level_term = _level_term(qc, kc, plan)
     np.sign(slope, out=slope)  # sim, then d table / d sim
@@ -500,7 +500,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
             gkc += (pooled[patch].T @ W).T
             np.matmul(W, kc, out=qc[lo : rows.stop])
     del level_term, slope
-    qc[:first] = 0.0  # the video rows have no level term
+    qc[:first] = 0.0  # the rows before first have no level term
     gqc += (_patch_sum(qc, plan.spec, plan.d) / cells)[row_patch]
     gqc *= scale
     gkc *= scale
@@ -519,7 +519,8 @@ def _patch_sum(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
 
 class _Plan(NamedTuple):
     """What the block derives from the layout alone, built once per call by
-    :func:`_layout_plan`; ``d`` and ``r`` are the level term's."""
+    :func:`_layout_plan`; ``d`` and ``r`` are the level term's, and ``first``
+    is the first row that it reaches."""
 
     spec: LayoutSpec
     d: int
@@ -527,13 +528,15 @@ class _Plan(NamedTuple):
     blocks: tuple[Block, ...]
     rot: tuple[np.ndarray, np.ndarray]
     patches: tuple[np.ndarray, np.ndarray, np.ndarray]
+    first: int
 
 
 def _layout_plan(spec: LayoutSpec, cfg: AttnConfig, blocks, rot, entity_levels) -> _Plan:
     """The plan of ``spec`` with the cover ``blocks`` and the rotary table
     ``rot`` (cos, sin), whose dtype the level term's patches share: the token
     count of each d x d patch in :func:`_patch_sum` order, each token's patch
-    as a row index into it, and each patch's row of ``entity_levels``."""
+    as a row index into it, and each patch's row of ``entity_levels``.  The
+    term reaches no row at r=0 or with all-zero levels, as it adds zeros."""
     d = cfg.d
     cells = _patch_sum(np.ones((spec.n_tokens, 1), rot[0].dtype), spec, d)
     per_row, frames = -(-spec.W // d), spec.T + spec.n_entities
@@ -542,4 +545,5 @@ def _layout_plan(spec: LayoutSpec, cfg: AttnConfig, blocks, rot, entity_levels) 
     row_patch = (np.arange(frames)[:, None] * per_frame + in_frame).ravel()
     levels = np.zeros((len(cells), spec.text_len), dtype=np.int8)  # all zero in the video frames
     levels[spec.T * per_frame :] = np.repeat(entity_levels, per_frame, axis=0)
-    return _Plan(spec, d, cfg.r, blocks, rot, (cells, row_patch, levels))
+    first = spec.n_video_tokens if cfg.r and entity_levels.any() else spec.n_tokens
+    return _Plan(spec, d, cfg.r, blocks, rot, (cells, row_patch, levels), first)

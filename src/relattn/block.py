@@ -27,7 +27,7 @@ from .attention import (
 )
 from .layout import LayoutSpec, _check_int
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
-from .rotary import default_config, position_array, rotary_table, rotate
+from .rotary import position_array, rotary_table, rotate
 
 _LN_EPS = 1e-6
 # rows per chunk of the MLP backward, which rebuilds the pre-activation
@@ -38,23 +38,23 @@ _MLP_ROWS = 512
 # flow matching
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    """Data latent, noise latent, and an interpolation time in [0, 1]."""
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as a non-empty array of finite numbers, or ``ValueError``: an
+    empty mean is NaN, and a NaN or inf entry would pass on silently."""
+    x = np.asarray(x)
+    if x.size == 0 or not np.isfinite(x).all():
+        raise ValueError(f"{name} must be a non-empty array of finite numbers, got shape {x.shape}")
+    return x
 
-    z: np.ndarray
-    z0: np.ndarray
-    t: float
 
-
-def flow_interpolate(sample: FlowSample) -> tuple[np.ndarray, np.ndarray]:
-    """Linear path point z_t = (1-t) z0 + t z and its velocity v = z - z0."""
-    z, z0 = np.asarray(sample.z), np.asarray(sample.z0)
+def flow_interpolate(z: np.ndarray, z0: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear path point z_t = (1-t) z0 + t z, for data ``z``, noise ``z0``
+    and a time ``t`` in [0, 1], and its velocity v = z - z0."""
+    z, z0 = _finite("z", z), _finite("z0", z0)
     if z.shape != z0.shape:
         raise ValueError(f"z and z0 shapes differ: {z.shape} vs {z0.shape}")
-    if not 0.0 <= sample.t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {sample.t}")
-    t = sample.t
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
     if t == 0.0:
         z_t = z0.copy()
     elif t == 1.0:
@@ -66,16 +66,16 @@ def flow_interpolate(sample: FlowSample) -> tuple[np.ndarray, np.ndarray]:
 
 def fm_loss(pred: np.ndarray, v_t: np.ndarray) -> float:
     """Mean squared error between predicted and ground-truth velocity."""
-    pred, v_t = np.asarray(pred), np.asarray(v_t)
+    pred, v_t = _finite("pred", pred), _finite("v_t", v_t)
     if pred.shape != v_t.shape:
         raise ValueError(f"shapes differ: {pred.shape} vs {v_t.shape}")
     d = pred - v_t
     return float(np.mean(d * d))
 
 
-def sample_time_logit_normal(rng: np.random.Generator, mean: float = 0.0, scale: float = 1.0) -> float:
-    """Draw t in (0, 1) as sigmoid of a normal variate."""
-    return float(1.0 / (1.0 + math.exp(-(mean + scale * rng.standard_normal()))))
+def sample_time_logit_normal(rng: np.random.Generator) -> float:
+    """Draw t in (0, 1) as the sigmoid of a standard normal variate."""
+    return float(1.0 / (1.0 + math.exp(-rng.standard_normal())))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=Non
     if text.shape[0] and text.shape[1] != weights.ck.shape[1]:
         raise ValueError(f"text must have {weights.ck.shape[1]} channels, got {text.shape[1]}")
     w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
-    rot = rotary_table(position_array(spec), default_config(w.head_dim), x.dtype)
+    rot = rotary_table(position_array(spec), w.head_dim, x.dtype)
     return w, x, text, _layout_plan(spec, cfg, csam.blocks, rot, rows)
 
 
@@ -672,30 +672,26 @@ def grad_check(
 # demo trainer
 
 
-def demo_fit(
-    spec: LayoutSpec,
-    seed: int = 0,
-    steps: int = 200,
-    lr: float = 1e-2,
-    channels: int = 16,
-    text_channels: int = 12,
-    n_heads: int = 2,
-    head_dim: int = 8,
-    hidden: int = 32,
-    cfg: AttnConfig | None = None,
-) -> list[float]:
-    """Adam-fit one block to a fixed synthetic velocity target; returns the
-    per-step loss trace (length steps + 1, starting at the untrained loss)."""
-    _check_int("steps", steps, 0)
-    cfg = cfg if cfg is not None else AttnConfig()
-    rng = np.random.default_rng(seed)
-    w = init_weights(rng, channels, text_channels, n_heads, head_dim, hidden, dtype=np.float64)
-
-    z = rng.standard_normal((spec.n_tokens, channels))
-    z0 = rng.standard_normal((spec.n_tokens, channels))
-    text = rng.standard_normal((spec.text_len, text_channels))
+def _toy_problem(spec: LayoutSpec, rng: np.random.Generator, dtype):
+    """The toy model that :func:`demo_fit` and ``relctl forward`` run: its
+    weights (16 channels, a 12-channel caption, 2 heads of 8 channels, an
+    MLP 32 wide), a caption, a flow time t and the path point and velocity
+    of a data and a noise latent at t, all drawn from ``rng``."""
+    w = init_weights(rng, 16, 12, 2, 8, 32, dtype=dtype)
+    z, z0 = (rng.standard_normal((spec.n_tokens, w.channels)).astype(dtype) for _ in range(2))
+    text = rng.standard_normal((spec.text_len, w.ck.shape[1])).astype(dtype)
     t = sample_time_logit_normal(rng)
-    z_t, v_t = flow_interpolate(FlowSample(z=z, z0=z0, t=t))
+    return w, text, t, *flow_interpolate(z, z0, t)
+
+
+def demo_fit(spec: LayoutSpec, seed: int = 0, steps: int = 200) -> list[float]:
+    """Adam-fit the toy model (:func:`_toy_problem`, float64) at the default
+    :class:`AttnConfig` with learning rate 1e-2 to a fixed synthetic velocity
+    target; returns the per-step loss trace (length steps + 1, starting at
+    the untrained loss)."""
+    _check_int("steps", steps, 0)
+    cfg, lr = AttnConfig(), 1e-2
+    w, text, _, z_t, v_t = _toy_problem(spec, np.random.default_rng(seed), np.float64)
 
     m = {k: np.zeros_like(v) for k, v in w.arrays().items()}
     u = {k: np.zeros_like(v) for k, v in w.arrays().items()}

@@ -214,11 +214,10 @@ def _kernel_checks(name, spec, csam, mcam, seed) -> list[CheckResult]:
 def check_global(seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    cfg = rotary.default_config(16)
 
     pos = rng.integers(0, 9, (32, 3))
     x = rng.standard_normal((32, 16)).astype(np.float32)
-    rx = rotary.rotate(x, *rotary.rotary_table(pos, cfg, x.dtype))
+    rx = rotary.rotate(x, *rotary.rotary_table(pos, 16, x.dtype))
     norms = np.linalg.norm(x, axis=1)
     out.append(
         _result(
@@ -232,16 +231,16 @@ def check_global(seed: int = 0) -> list[CheckResult]:
     q = np.repeat(rng.standard_normal((1, 16)), 27, axis=0)
     k = np.repeat(rng.standard_normal((1, 16)), 27, axis=0)
     shifts = np.indices((3, 3, 3)).reshape(3, -1).T
-    qa = rotary.rotate(q, *rotary.rotary_table(shifts + (1, 2, 3), cfg, q.dtype))
-    kb = rotary.rotate(k, *rotary.rotary_table(shifts + (4, 1, 5), cfg, k.dtype))
+    qa = rotary.rotate(q, *rotary.rotary_table(shifts + (1, 2, 3), 16, q.dtype))
+    kb = rotary.rotate(k, *rotary.rotary_table(shifts + (4, 1, 5), 16, k.dtype))
     dots = (qa * kb).sum(axis=1)
     spread = (dots.max() - dots.min()) / max(abs(dots[0]), 1e-9)
     out.append(_result("rotary-shift-invariance", spread, 1e-5))
 
     z = rng.standard_normal((4, 3))
     z0 = rng.standard_normal((4, 3))
-    zt0, _ = block.flow_interpolate(block.FlowSample(z=z, z0=z0, t=0.0))
-    zt1, v = block.flow_interpolate(block.FlowSample(z=z, z0=z0, t=1.0))
+    zt0, _ = block.flow_interpolate(z, z0, 0.0)
+    zt1, v = block.flow_interpolate(z, z0, 1.0)
     ok = np.array_equal(zt0, z0) and np.array_equal(zt1, z) and np.array_equal(v, z - z0)
     out.append(CheckResult("flow-endpoints", bool(ok)))
 

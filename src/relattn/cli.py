@@ -21,19 +21,13 @@ import numpy as np
 
 from . import __version__
 from .attention import AttnConfig, masked_self_attention_blockwise
-from .block import FlowSample, block_forward, flow_interpolate, fm_loss, init_weights, sample_time_logit_normal
+from .block import _toy_problem, block_forward, fm_loss
 from .checks import CheckResult, run_checks
 from .corpus import builtin_corpus
 from .layout import LayoutError, LayoutSpec, parse_spec
 from .masks import build_csam, build_mcam, write_csam_csv, write_csam_pgm, write_mcam_csv, write_mcam_pgm
 from .reference import masked_self_attention_naive
 from .rotary import position_array
-
-FORWARD_CHANNELS = 16
-FORWARD_TEXT_CHANNELS = 12
-FORWARD_HEADS = 2
-FORWARD_HEAD_DIM = 8
-FORWARD_HIDDEN = 32
 
 
 @dataclass
@@ -207,27 +201,13 @@ def cmd_forward(args) -> RunReport:
     report = RunReport(command="forward")
     cfg = AttnConfig(r=args.r, d=args.d)
     rng = np.random.default_rng(args.seed)
-    weights = init_weights(
-        rng,
-        channels=FORWARD_CHANNELS,
-        text_channels=FORWARD_TEXT_CHANNELS,
-        n_heads=FORWARD_HEADS,
-        head_dim=FORWARD_HEAD_DIM,
-        hidden=FORWARD_HIDDEN,
-    )
-    z = rng.standard_normal((spec.n_tokens, FORWARD_CHANNELS)).astype(np.float32)
-    z0 = rng.standard_normal((spec.n_tokens, FORWARD_CHANNELS)).astype(np.float32)
-    text = rng.standard_normal((spec.text_len, FORWARD_TEXT_CHANNELS)).astype(np.float32)
-    t = sample_time_logit_normal(rng)
-    z_t, v_t = flow_interpolate(FlowSample(z=z, z0=z0, t=t))
+    weights, text, t, z_t, v_t = _toy_problem(spec, rng, np.float32)
 
     pred = block_forward(weights, z_t, text, spec, cfg)
     loss = fm_loss(pred, v_t)
 
     bumped = z_t.copy()
-    bumped[: spec.n_video_tokens] += rng.standard_normal(
-        (spec.n_video_tokens, FORWARD_CHANNELS)
-    ).astype(np.float32)
+    bumped[: spec.n_video_tokens] += rng.standard_normal((spec.n_video_tokens, weights.channels)).astype(np.float32)
     alt = block_forward(weights, bumped, text, spec, cfg)
     cond = slice(spec.n_video_tokens, spec.n_tokens)
     cond_resid = float(np.max(np.abs(alt[cond] - pred[cond]))) if spec.n_entities else 0.0
@@ -284,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("forward", help="one seeded block forward with flow-matching loss")
     f.add_argument("spec", help="layout JSON document")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--r", type=float, default=0.5, help="level-mask strength")
-    f.add_argument("--d", type=int, default=8, help="spatial pooling factor")
+    f.add_argument("--r", type=float, default=AttnConfig.r, help="level-mask strength")
+    f.add_argument("--d", type=int, default=AttnConfig.d, help="spatial pooling factor")
     f.set_defaults(fn=cmd_forward)
 
     for s in (m, c, b, f):

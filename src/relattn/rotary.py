@@ -11,47 +11,23 @@ sub-band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .layout import SUBJECT_KINDS, LayoutSpec
+from .layout import SUBJECT_KINDS, LayoutSpec, _check_int
 
 # theta_m = ROTARY_BASE^(-2m/d_axis) in every axis sub-band
 ROTARY_BASE = 10000.0
 
 
-@dataclass(frozen=True)
-class RotaryConfig:
-    """Per-head rotary parameters.
-
-    ``split`` gives the channel widths for the (i, j, k) sub-bands; each must
-    be even and >= 2 and they must sum to ``head_dim``.  Pairs are interleaved:
-    channels (2m, 2m+1) inside a band rotate together.
-    """
-
-    head_dim: int
-    split: tuple[int, int, int]
-
-    def __post_init__(self):
-        if sum(self.split) != self.head_dim:
-            raise ValueError(f"split {self.split} must sum to head_dim {self.head_dim}")
-        for d in self.split:
-            if d < 2 or d % 2 != 0:
-                raise ValueError(f"each sub-band width must be even and >= 2, got {self.split}")
-
-
 def default_split(head_dim: int) -> tuple[int, int, int]:
-    """Largest even split with d_i >= d_j = d_k summing to head_dim."""
-    if head_dim < 6 or head_dim % 2 != 0:
+    """Channel widths of the (i, j, k) sub-bands of a head: the largest even
+    split with d_i >= d_j = d_k summing to ``head_dim``.  Pairs are
+    interleaved: channels (2m, 2m+1) inside a band rotate together."""
+    _check_int("head_dim", head_dim, 6)
+    if head_dim % 2 != 0:
         raise ValueError(f"head_dim must be an even integer >= 6, got {head_dim}")
     dj = (head_dim // 3) // 2 * 2
-    dj = max(dj, 2)
     return head_dim - 2 * dj, dj, dj
-
-
-def default_config(head_dim: int) -> RotaryConfig:
-    return RotaryConfig(head_dim=head_dim, split=default_split(head_dim))
 
 
 def position_array(spec: LayoutSpec) -> np.ndarray:
@@ -83,13 +59,16 @@ def _band_angles(coord: np.ndarray, d_axis: int) -> np.ndarray:
     return coord[:, None] * theta[None, :]
 
 
-def rotary_table(pos: np.ndarray, cfg: RotaryConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the per-band angles of each (i, j, k) row of ``pos``,
-    each (n, head_dim/2) in ``dtype``.  Rotating by (cos, -sin) applies the
-    inverse rotation, bit-exactly, since sin(-a) == -sin(a)."""
-    pos = pos.astype(np.float64)
+def rotary_table(pos: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the per-band angles of each finite (i, j, k) row of
+    ``pos``, over the bands of :func:`default_split`, each (n, head_dim/2) in
+    ``dtype``.  Rotating by (cos, -sin) applies the inverse rotation,
+    bit-exactly, since sin(-a) == -sin(a)."""
+    pos = np.asarray(pos, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3 or not np.isfinite(pos).all():
+        raise ValueError(f"pos must be finite (i, j, k) rows, got shape {pos.shape}")
     angles = np.concatenate(
-        [_band_angles(pos[:, axis], d_axis) for axis, d_axis in enumerate(cfg.split)],
+        [_band_angles(pos[:, axis], d_axis) for axis, d_axis in enumerate(default_split(head_dim))],
         axis=1,
     )
     return np.cos(angles).astype(dtype, copy=False), np.sin(angles).astype(dtype, copy=False)

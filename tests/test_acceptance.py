@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from relattn.attention import AttnConfig, masked_self_attention_blockwise
-from relattn.block import FlowSample, demo_fit, flow_interpolate, fm_loss, grad_check, init_weights
+from relattn.block import demo_fit, flow_interpolate, fm_loss, grad_check, init_weights
 from relattn.cli import main
 from relattn.corpus import builtin_corpus, corpus_layout, make_spec
 from relattn.layout import to_json
@@ -21,7 +21,7 @@ from relattn.reference import (
     relational_cross_attention,
     standard_attention,
 )
-from relattn.rotary import default_config, position_array, rotary_table, rotate
+from relattn.rotary import position_array, rotary_table, rotate
 
 from oracles import csam_oracle, fm_loss_oracle, mcam_oracle, positions_oracle
 
@@ -162,11 +162,10 @@ def test_06_level_mask_behavior():
 
 
 def test_07_rotary_properties():
-    cfg = default_config(16)
     for seed in range(5):
         rng = np.random.default_rng(700 + seed)
         x = rng.standard_normal((24, 16))
-        out = rotate(x, *rotary_table(rng.integers(0, 40, (24, 3)), cfg, x.dtype))
+        out = rotate(x, *rotary_table(rng.integers(0, 40, (24, 3)), 16, x.dtype))
         norms = np.linalg.norm(x, axis=1)
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - norms) / norms) <= 1e-6
 
@@ -180,8 +179,8 @@ def test_07_rotary_properties():
                 for dk in range(3):
                     a = np.array([[base[0] + di, base[1] + dj, base[2] + dk]])
                     b = np.array([[other[0] + di, other[1] + dj, other[2] + dk]])
-                    qa = rotate(q, *rotary_table(a, cfg, q.dtype))
-                    kb = rotate(k, *rotary_table(b, cfg, k.dtype))
+                    qa = rotate(q, *rotary_table(a, 16, q.dtype))
+                    kb = rotate(k, *rotary_table(b, 16, k.dtype))
                     dot = (qa @ kb.T).item()
                     if ref is None:
                         ref = dot
@@ -193,9 +192,9 @@ def test_07_rotary_properties():
 def test_08_flow_matching_and_gradients():
     rng = np.random.default_rng(808)
     z, z0 = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-    zt, v = flow_interpolate(FlowSample(z=z, z0=z0, t=0.0))
+    zt, v = flow_interpolate(z, z0, 0.0)
     np.testing.assert_array_equal(zt, z0)
-    zt, _ = flow_interpolate(FlowSample(z=z, z0=z0, t=1.0))
+    zt, _ = flow_interpolate(z, z0, 1.0)
     np.testing.assert_array_equal(zt, z)
     np.testing.assert_array_equal(v, z - z0)
 

@@ -10,7 +10,6 @@ from relattn import attention, block, checks
 from relattn.attention import AttnConfig, masked_self_attention_blockwise
 from relattn.block import (
     BlockWeights,
-    FlowSample,
     _gelu,
     _layer_norm_bwd,
     block_forward,
@@ -37,10 +36,10 @@ from strategies import layout_specs
 def test_interpolation_endpoints_exact():
     rng = np.random.default_rng(0)
     z, z0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    zt, v = flow_interpolate(FlowSample(z=z, z0=z0, t=0.0))
+    zt, v = flow_interpolate(z, z0, 0.0)
     np.testing.assert_array_equal(zt, z0)
     np.testing.assert_array_equal(v, z - z0)
-    zt, _ = flow_interpolate(FlowSample(z=z, z0=z0, t=1.0))
+    zt, _ = flow_interpolate(z, z0, 1.0)
     np.testing.assert_array_equal(zt, z)
 
 
@@ -49,18 +48,23 @@ def test_velocity_is_difference():
     z0 = rng.standard_normal((3, 3))
     z = 2.0 * z0
     for t in (0.25, 0.5, 0.9):
-        _, v = flow_interpolate(FlowSample(z=z, z0=z0, t=t))
+        _, v = flow_interpolate(z, z0, t)
         np.testing.assert_allclose(v, z0, atol=1e-12)
 
 
 def test_interpolation_validates():
     z = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        flow_interpolate(FlowSample(z=z, z0=np.zeros((3, 2)), t=0.5))
+        flow_interpolate(z, np.zeros((3, 2)), 0.5)
     with pytest.raises(ValueError):
-        flow_interpolate(FlowSample(z=z, z0=z, t=1.5))
+        flow_interpolate(z, z, 1.5)
     with pytest.raises(ValueError):
-        flow_interpolate(FlowSample(z=z, z0=z, t=-0.1))
+        flow_interpolate(z, z, -0.1)
+    bad = z.copy()
+    bad[0, 1] = np.inf  # its velocity would be inf
+    for args in ((bad, z, 0.5), (z, bad, 0.5), (np.zeros((0, 2)), np.zeros((0, 2)), 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            flow_interpolate(*args)
 
 
 def test_fm_loss_values():
@@ -73,6 +77,12 @@ def test_fm_loss_values():
     assert abs(fm_loss(pred, tgt) - fm_loss_oracle(pred, tgt)) < 1e-7
     with pytest.raises(ValueError):
         fm_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+    nan = v.copy()
+    nan[1, 2] = np.nan
+    # an empty mean and a NaN entry each gave a silent NaN loss
+    for args in ((np.zeros((0, 4)), np.zeros((0, 4))), (nan, v), (v, nan)):
+        with pytest.raises(ValueError, match="finite"):
+            fm_loss(*args)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -267,7 +277,7 @@ def test_r0_equals_the_block_without_level_term_on_generated_layouts(spec, d):
     attend, dropped = attention._attend, []
 
     def without_level_term(Q, K, V, scale, level_term=None):
-        dropped.append(level_term is not None)
+        dropped.append(level_term)
         return attend(Q, K, V, scale)
 
     for dtype in (np.float32, np.float64):
@@ -276,7 +286,9 @@ def test_r0_equals_the_block_without_level_term_on_generated_layouts(spec, d):
         dropped.clear()
         with mock.patch.object(attention, "_attend", without_level_term):
             plain = block_forward(w, xd, td, spec, cfg)
-        assert dropped == [True] * (weights.n_heads if spec.text_len else 0)
+        assert [term is not None for term in dropped] == [True] * (weights.n_heads if spec.text_len else 0)
+        # the plan's term starts past the last row, so it reaches none
+        assert all(term[2] == spec.n_tokens for term in dropped)
         assert plain.tobytes() == y.tobytes()
 
 

@@ -25,7 +25,17 @@ MOVED = (
     "text_level_of",
     "branch_index_per_token",
 )
-DELETED = ("TokenAddress", "address_of", "flat_of", "entity_of", "branch_of", "materialize_blocks")
+DELETED = (
+    "TokenAddress",
+    "address_of",
+    "flat_of",
+    "entity_of",
+    "branch_of",
+    "materialize_blocks",
+    "RotaryConfig",
+    "default_config",
+    "FlowSample",
+)
 SRC = Path(relattn.__file__).parent
 
 

@@ -3,21 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relattn.corpus import builtin_corpus, make_spec
-from relattn.rotary import (
-    RotaryConfig,
-    default_config,
-    default_split,
-    position_array,
-    rotary_table,
-    rotate,
-)
+from relattn.rotary import default_split, position_array, rotary_table, rotate
 
 from oracles import positions_oracle
 
 
-def rotated(x, pos, cfg):
-    """``x`` rotated by the (i, j, k) rows of ``pos``, in the dtype of ``x``."""
-    return rotate(x, *rotary_table(np.asarray(pos), cfg, x.dtype))
+def rotated(x, pos, head_dim):
+    """``x`` rotated by the ``head_dim`` table of the (i, j, k) rows of
+    ``pos``, in the dtype of ``x``."""
+    return rotate(x, *rotary_table(np.asarray(pos), head_dim, x.dtype))
 
 
 def test_assign_positions_examples():
@@ -48,28 +42,23 @@ def test_default_split():
         default_split(4)
     with pytest.raises(ValueError):
         default_split(7)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RotaryConfig(head_dim=8, split=(4, 2, 1))
-    with pytest.raises(ValueError):
-        RotaryConfig(head_dim=8, split=(4, 4, 2))
+    for bad in (8.0, True, "8"):  # the split of 8.0 would be (4.0, 2.0, 2.0)
+        with pytest.raises(ValueError):
+            default_split(bad)
 
 
 def test_zero_position_is_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 8)).astype(np.float32)
-    out = rotated(x, [(0, 0, 0)] * 3, default_config(8))
+    out = rotated(x, [(0, 0, 0)] * 3, 8)
     np.testing.assert_array_equal(out, x)
 
 
 def test_norm_preserved():
     rng = np.random.default_rng(1)
-    cfg = default_config(16)
     x = rng.standard_normal((20, 16)).astype(np.float32)
     pos = rng.integers(0, 30, (20, 3))
-    out = rotated(x, pos, cfg)
+    out = rotated(x, pos, 16)
     n0 = np.linalg.norm(x, axis=1)
     n1 = np.linalg.norm(out, axis=1)
     assert np.max(np.abs(n1 - n0) / n0) < 1e-6
@@ -77,9 +66,8 @@ def test_norm_preserved():
 
 def test_inverse_round_trip():
     rng = np.random.default_rng(2)
-    cfg = default_config(8)
     x = rng.standard_normal((5, 8))
-    cos, sin = rotary_table(rng.integers(0, 9, (5, 3)), cfg, x.dtype)
+    cos, sin = rotary_table(rng.integers(0, 9, (5, 3)), 8, x.dtype)
     back = rotate(rotate(x, cos, sin), cos, -sin)
     assert np.max(np.abs(back - x)) < 1e-12
 
@@ -87,7 +75,6 @@ def test_inverse_round_trip():
 def test_relative_shift_invariance():
     # rotated dot products depend only on per-axis coordinate differences:
     # brute-force over a 3x3x3 grid of common offsets
-    cfg = default_config(16)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         q = rng.standard_normal((1, 16))
@@ -99,7 +86,7 @@ def test_relative_shift_invariance():
                 for dk in range(3):
                     a = (p1[0] + di, p1[1] + dj, p1[2] + dk)
                     b = (p2[0] + di, p2[1] + dj, p2[2] + dk)
-                    dot = (rotated(q, [a], cfg) @ rotated(k, [b], cfg).T).item()
+                    dot = (rotated(q, [a], 16) @ rotated(k, [b], 16).T).item()
                     if ref is None:
                         ref = dot
                     else:
@@ -107,11 +94,13 @@ def test_relative_shift_invariance():
 
 
 def test_shape_validation():
-    cfg = default_config(8)
     with pytest.raises(ValueError):
-        rotated(np.zeros((2, 6)), [(0, 0, 0)] * 2, cfg)
+        rotated(np.zeros((2, 6)), [(0, 0, 0)] * 2, 8)
     with pytest.raises(ValueError):
-        rotated(np.zeros((2, 8)), [(0, 0, 0)], cfg)
+        rotated(np.zeros((2, 8)), [(0, 0, 0)], 8)
+    for pos in ([(0, 0)] * 2, [0, 0, 0], [(0, 0, np.nan)] * 2, [(np.inf, 0, 0)] * 2):
+        with pytest.raises(ValueError):
+            rotary_table(np.asarray(pos), 8, np.float64)
 
 
 def test_positions_as_array():
@@ -127,8 +116,7 @@ def test_positions_as_array():
 )
 def test_isometry_property(dim_choice, coords, seed):
     head_dim = (8, 12, 16)[dim_choice]
-    cfg = default_config(head_dim)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, head_dim))
-    out = rotated(x, [coords], cfg)
+    out = rotated(x, [coords], head_dim)
     assert abs(np.linalg.norm(out) - np.linalg.norm(x)) < 1e-9 * max(1.0, np.linalg.norm(x))
