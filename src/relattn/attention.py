@@ -13,13 +13,15 @@ reference kernels live in :mod:`relattn.reference`.
 Every walk visits the tiles of :func:`_tiles`; cross-attention's span the
 whole caption.  Float32 self-attention, whose output bits the README loss
 pins, takes each query row's softmax in one tile of ``_SELF_TILE`` rows x a
-whole block when its cover visits each row once, as the layout's own cover
-does, and writes the output over the queries it has read.  Other dtypes and
-covers fix each query row's softmax stabilizer before the walk and share the
-backward's folded GEMM operands (:func:`_folded`) and its 2-D tiles of at
-most ``_KEY_TILE`` keys by :func:`_tile_rows` rows, so that every tile of
-every float64 walk holds about ``_BWD_TILE`` x ``_KEY_TILE`` elements and no
-buffer grows with the width of a block.
+whole block when its cover visits each row once, as both covers the block
+runs do (the layout's own and the plain baseline's full square), and writes
+the output over the queries it has read.  Other dtypes, and the general
+covers of :func:`masked_self_attention_blockwise`, fix each query row's
+softmax stabilizer before the walk and share the backward's folded GEMM
+operands (:func:`_folded`) and its 2-D tiles of at most ``_KEY_TILE`` keys
+by :func:`_tile_rows` rows, so that every tile of every float64 walk holds
+about ``_BWD_TILE`` x ``_KEY_TILE`` elements and no buffer grows with the
+width of a block.
 
 A GEMM's right operand is row-major in every float64 walk.  OpenBLAS packs
 a thin transposed right operand, such as the K^T of a logits tile, far more
@@ -115,14 +117,6 @@ def _default_scale(k_cols: int) -> float:
     return 1.0 / math.sqrt(k_cols)
 
 
-def _scale(scale: float | None, K: np.ndarray) -> float:
-    """``scale``, or 1/sqrt(K's width) for None; a non-finite one is refused,
-    as it would make every output NaN."""
-    if scale is not None and not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
-    return _default_scale(K.shape[1]) if scale is None else scale
-
-
 def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
     covered = np.zeros(n, dtype=bool)
     for blk in blocks:
@@ -149,7 +143,7 @@ def _validate_blocks(blocks: Sequence[Block], n: int) -> None:
         raise ValueError(f"query row {int(np.flatnonzero(~covered)[0])} covered by no block")
 
 
-def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
+def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block]):
     """Streaming masked self-attention over a disjoint block cover.
 
     The result matches the dense masked kernel for any block visit order.
@@ -169,20 +163,21 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block], scale: flo
         raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
     _validate_blocks(blocks, n)
     # a copy of Q, which _blockwise may overwrite, in the common dtype
-    return _blockwise(Q.astype(np.result_type(Q, K, V), order="C"), K, V, blocks, scale)[0]
+    return _blockwise(Q.astype(np.result_type(Q, K, V), order="C"), K, V, blocks)[0]
 
 
 def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
     of its scaled logits, from which :func:`_folded_bwd` recomputes weights.
 
-    float32 over a cover that visits each query row once, as every cover of
-    :func:`~relattn.masks.build_csam` does, takes :func:`_one_pass`, only
-    because the README loss and the pinned block outputs freeze its bits.
-    Every other dtype or cover takes three passes over the tiles of
-    :func:`_tiles`, at most ``_KEY_TILE`` (512) keys by :func:`_tile_rows`
-    rows (64 over 512 keys, 227 over a 144-key block), the tiles its
-    backward walks too.
+    float32 over a cover that visits each query row once, as both covers
+    the block runs do (the layout's own and the plain baseline's full
+    square), takes :func:`_one_pass`, only because the README loss and the
+    pinned block outputs freeze its bits.  Every other dtype, or a general
+    cover of :func:`masked_self_attention_blockwise`, takes three passes
+    over the tiles of :func:`_tiles`, at most ``_KEY_TILE`` (512) keys by
+    :func:`_tile_rows` rows (64 over 512 keys, 227 over a 144-key block),
+    the tiles its backward walks too.
     First it fixes one stabilizer per query row, ``c = scale |q| max|k|``
     over the keys of the row's blocks: no logit of the row exceeds it, so
     ``exp`` cannot overflow, and the row's true max lies within ``2c``
@@ -192,9 +187,10 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     logits and the row sum into the output, so nothing is rescaled along
     the way, however a row's keys are split.  Last, one division by the
     row sums.  Its arrays come unchecked, as the block builds them, and
-    the float32 route writes its output over ``Q``.
+    the float32 route writes its output over ``Q``.  ``scale``, which the
+    block never sets, defaults to 1/sqrt(K's width).
     """
-    n, scale = Q.shape[0], _scale(scale, K)
+    n, scale = Q.shape[0], _default_scale(K.shape[1]) if scale is None else scale
     dt = np.result_type(Q, K, V)
     if dt == np.float32 and sum(b.q1 - b.q0 for b in blocks) == n:
         return _one_pass(Q, K, V, blocks, scale)

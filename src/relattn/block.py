@@ -23,7 +23,6 @@ from .attention import (
     _cross_head_bwd,
     _layout_plan,
     _self_head_bwd,
-    _validate_blocks,
 )
 from .layout import LayoutSpec, _check_int
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam
@@ -107,6 +106,9 @@ class BlockWeights:
     head_dim: int = field(init=False)
 
     def __post_init__(self):
+        for name, arr in self.arrays().items():
+            if not isinstance(arr, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(arr).__name__}")
         if self.wq.ndim != 3:
             raise ValueError(f"wq has shape {self.wq.shape}, expected (heads, channels, head_dim)")
         h, c, d = self.wq.shape
@@ -246,28 +248,18 @@ def _layer_norm_bwd(gy, y, inv):
 
 
 def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=None):
-    """Validated inputs, weights in the inputs' dtype, and the layout plan
-    that the forward and the backward read.  A caller's ``csam`` and ``mcam``
-    are checked against ``spec`` first; a missing one is built from it."""
+    """Validated inputs, weights in the inputs' dtype, and the plan of the
+    layout's own masks, which the forward and the backward read.  A caller's
+    ``csam`` or ``mcam`` is only compared with the mask built from ``spec``,
+    never used in its place."""
     for name, mask, kind in (("csam", csam, CsamMask), ("mcam", mcam, McamMask)):
         if mask is not None and not isinstance(mask, kind):
             raise TypeError(f"{name} must be a {kind.__name__} or None, got {type(mask).__name__}")
-    if csam is None:
-        csam = build_csam(spec)
-    else:
-        _validate_blocks(csam.blocks, spec.n_tokens)
-        if csam.n != spec.n_tokens:  # its bits would be of another size
-            raise ValueError(f"csam is a mask over {csam.n} tokens, the layout has {spec.n_tokens}")
-    rows = (mcam if mcam is not None else build_mcam(spec)).entity_levels
-    if rows.shape != (spec.n_entities, spec.text_len):
-        raise ValueError(
-            f"mcam levels are {rows.shape[0]} entities x {rows.shape[1]} caption tokens, "
-            f"the layout's {spec.n_entities} x {spec.text_len}"
-        )
-    # the plan copies the levels into int8, which would truncate or wrap them
-    bad = ~((rows == 0) | (rows == 1) | (rows == -1))
-    if bad.any():
-        raise ValueError(f"mcam levels must be -1, 0 or +1, got {rows[bad][0]}")
+    own_csam, own_mcam = build_csam(spec), build_mcam(spec)
+    if csam is not None and (csam.n != own_csam.n or set(csam.blocks) != set(own_csam.blocks)):
+        raise ValueError("csam must be the layout's own mask, build_csam(spec), or None")
+    if mcam is not None and not np.array_equal(mcam.entity_levels, own_mcam.entity_levels):
+        raise ValueError("mcam must be the layout's own mask, build_mcam(spec), or None")
     x = _as_matrix("z_tokens", np.asarray(z_tokens, dtype=dtype))
     text = _as_matrix("text", np.asarray(text, dtype=dtype))
     if text.dtype != x.dtype:  # and again in the latents' dtype, which may overflow
@@ -280,7 +272,7 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=Non
         raise ValueError(f"text must have {weights.ck.shape[1]} channels, got {text.shape[1]}")
     w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
     rot = rotary_table(position_array(spec), w.head_dim, x.dtype)
-    return w, x, text, _layout_plan(spec, cfg, csam.blocks, rot, rows)
+    return w, x, text, _layout_plan(spec, cfg, own_csam.blocks, rot, own_mcam.entity_levels)
 
 
 def _self_qkv(w: BlockWeights, h, u, rot):
@@ -384,18 +376,13 @@ def block_forward(
     """Run the relational block over the concatenated token sequence.
 
     Computation follows the dtype of ``z_tokens``; the self-attention uses
-    the block-streaming kernel over the mask's block cover.  ``csam`` and
-    ``mcam`` default to ``build_csam(spec)`` and ``build_mcam(spec)``.  A mask
-    passed in is validated against ``spec`` (a disjoint cover of every query
-    row over its tokens; a row of levels -1, 0 or +1 per entity and caption
-    token) and used as given, so the layout's own masks give the output of
-    passing none, bit for bit.
+    the block-streaming kernel over the layout's block cover.  The masks are
+    the layout's own, ``build_csam(spec)`` and ``build_mcam(spec)``: a
+    ``csam`` or ``mcam`` passed in must equal that mask (the same token
+    count and set of blocks, the same entity level rows), or ``ValueError``
+    names it before any compute, so passing one never changes the output.
     """
-    w, x, text, plan = _prepare(weights, z_tokens, text, spec, cfg, csam, mcam)
-    y = _forward(w, x, text, plan)
-    if not np.isfinite(y).all():
-        raise ValueError("block produced non-finite output")
-    return y
+    return _checked_forward(*_prepare(weights, z_tokens, text, spec, cfg, csam, mcam))
 
 
 def plain_block_forward(
@@ -407,8 +394,17 @@ def plain_block_forward(
 ) -> np.ndarray:
     """Non-relational baseline: the same block with one full-square cover
     (every query sees every key) and no level-mask term (r=0)."""
-    full = CsamMask(spec.n_tokens, (Block(0, spec.n_tokens, 0, spec.n_tokens),))
-    return block_forward(weights, z_tokens, text, spec, replace(cfg, r=0.0), full)
+    w, x, text, plan = _prepare(weights, z_tokens, text, spec, replace(cfg, r=0.0))
+    n = spec.n_tokens
+    return _checked_forward(w, x, text, plan._replace(blocks=(Block(0, n, 0, n),)))
+
+
+def _checked_forward(w: BlockWeights, x, text, plan) -> np.ndarray:
+    """:func:`_forward` untaped, or ``ValueError`` on a non-finite output."""
+    y = _forward(w, x, text, plan)
+    if not np.isfinite(y).all():
+        raise ValueError("block produced non-finite output")
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_sum, _scale
+from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_sum
 from .layout import SUBJECT_KINDS, LayoutSpec, _check_int
 from .masks import Block, CsamMask
 
 
-def standard_attention(Q, K, V, scale: float | None = None, return_weights: bool = False):
+def standard_attention(Q, K, V, *, return_weights: bool = False):
     """Unmasked scaled-dot-product attention (baseline for equivalence tests)."""
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     if Q.shape[1] != K.shape[1] or K.shape[0] != V.shape[0]:
         raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if K.shape[0] == 0:
         raise ValueError("attention requires at least one key")
-    scale = _scale(scale, K)
+    scale = _default_scale(K.shape[1])
     out = _attend(Q, K, V, scale)[0]
     return (out, _weights(Q, K, scale)) if return_weights else out
 
@@ -43,9 +43,7 @@ def _weights(Q, K, scale: float, additive=None) -> np.ndarray:
     return logits
 
 
-def masked_self_attention_naive(
-    Q, K, V, mask: CsamMask, scale: float | None = None, return_weights: bool = False
-):
+def masked_self_attention_naive(Q, K, V, mask: CsamMask, *, return_weights: bool = False):
     """Dense masked self-attention; masked keys get exactly zero weight.
 
     Masked logits become -inf, and after row-max subtraction the -inf
@@ -62,7 +60,7 @@ def masked_self_attention_naive(
     if not mask.bits.any(axis=1).all():
         raise ValueError("mask has a query row with no admissible key")
 
-    scale = _scale(scale, K)
+    scale = _default_scale(K.shape[1])
     logits = (Q @ K.T) * Q.dtype.type(scale)
     logits = np.where(mask.bits, logits, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)

@@ -23,7 +23,7 @@ from relattn.block import (
     sample_time_logit_normal,
 )
 from relattn.corpus import make_spec
-from relattn.masks import CsamMask, build_csam, build_mcam
+from relattn.masks import build_csam, build_mcam
 from relattn.reference import decompose_blocks
 
 from oracles import fm_loss_oracle
@@ -131,14 +131,14 @@ def test_forward_shape_and_determinism(setup):
 
 
 def test_relational_off_equals_plain_block(setup):
+    # the plain block is the forward over the layout's r=0 plan, its cover
+    # swapped for the one block of an all-true mask
     spec, weights, x, text = setup
     n = spec.n_tokens
-    bits = np.ones((n, n), dtype=bool)
-    all_true = CsamMask(n=n, blocks=tuple(decompose_blocks(bits)))
-    relational = block_forward(weights, x, text, spec, AttnConfig(r=0.0), csam=all_true)
+    w, xp, tp, plan = block._prepare(weights, x, text, spec, AttnConfig(r=0.0))
+    full = plan._replace(blocks=tuple(decompose_blocks(np.ones((n, n), dtype=bool))))
     plain = plain_block_forward(weights, x, text, spec, AttnConfig())
-    scale = np.max(np.abs(plain))
-    assert np.max(np.abs(relational - plain)) / scale < 1e-5
+    assert plain.tobytes() == block._forward(w, xp, tp, full).tobytes()
 
 
 def test_block_branch_isolation(setup):
@@ -205,6 +205,15 @@ def test_weights_reject_a_mis_shaped_array(setup, name, shape):
     arrays = setup[1].arrays()
     arrays[name] = np.zeros(shape, dtype=np.float32)
     with pytest.raises(ValueError, match=rf"^{name} has shape"):
+        BlockWeights(**arrays)
+
+
+@pytest.mark.parametrize("name", ["wq", "ck", "w1", "b2"])
+def test_weights_reject_a_non_array_field(setup, name):
+    # a list field died on its missing .ndim or .shape with AttributeError
+    arrays = setup[1].arrays()
+    arrays[name] = arrays[name].tolist()
+    with pytest.raises(ValueError, match=rf"^{name} must be a numpy array, got list"):
         BlockWeights(**arrays)
 
 
@@ -518,13 +527,6 @@ def test_overflowing_loss_is_rejected_before_the_backward(fn):
     assert np.isfinite(block_forward(weights, x, text, spec, AttnConfig())).all()
     with pytest.raises(ValueError, match="non-finite loss"):
         fn(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
-
-
-def test_block_forward_rejects_a_cover_of_another_layout(setup):
-    spec, weights, x, text = setup
-    small = make_spec(1, 1, 2, bg=1)
-    with pytest.raises(ValueError, match="covered by no block"):
-        block_forward(weights, x, text, spec, AttnConfig(), csam=build_csam(small))
 
 
 @pytest.mark.parametrize("entry", [block_forward, loss_and_gradients])

@@ -12,7 +12,7 @@ from relattn import attention, block
 from relattn.attention import AttnConfig
 from relattn.block import block_forward, init_weights, loss_and_gradients
 from relattn.corpus import corpus_layout, make_spec
-from relattn.masks import CsamMask, McamMask, build_csam, build_mcam
+from relattn.masks import Block, CsamMask, McamMask, build_csam, build_mcam
 from relattn.reference import compute_scaling_s, relational_cross_attention
 
 from strategies import layout_specs
@@ -85,47 +85,53 @@ def test_build_mcam_keeps_entity_rows_only():
     assert levels is mcam.levels and levels.shape == (spec.n_tokens, spec.text_len)
 
 
-@pytest.mark.parametrize(
-    "mcam, match",
-    [
-        (build_mcam(make_spec(2, 4, 4, objs=1, groups=(1, 1, 1), no_spans=True, text_len=19)), "7 entities"),
-        (build_mcam(make_spec(2, 4, 4, bg=1, objs=1, groups=(1, 1), no_spans=True, text_len=18)), "18 caption tokens"),
-    ],
-    ids=["entity-count", "caption-length"],
-)
-def test_block_rejects_a_mask_of_another_layout(mcam, match):
-    spec = corpus_layout("showcase")
-    assert (spec.n_entities, spec.text_len) == (6, 19)
-    weights, x, text = _problem(spec, 3)
-    with mock.patch.object(block, "rotary_table") as rotary:
-        with pytest.raises(ValueError, match=match):
-            block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
-    rotary.assert_not_called()  # rejected before any compute
+SHOWCASE = corpus_layout("showcase")
 
 
-@pytest.mark.parametrize("level, dtype", [(0.5, np.float64), (2, np.int8), (300, np.int16)])
-def test_block_rejects_a_level_outside_minus_one_to_one(level, dtype):
-    # the plan's int8 table truncated 0.5 to 0 and wrapped 300 to 44
-    spec = corpus_layout("showcase")
-    weights, x, text = _problem(spec, 3)
-    rows = build_mcam(spec).entity_levels.astype(dtype)
+def _levels_with(level, dtype):
+    """The showcase layout's level rows in ``dtype``, one entry set to ``level``."""
+    rows = build_mcam(SHOWCASE).entity_levels.astype(dtype)
     rows[2, 3] = level
-    mcam = McamMask(rows, spec.n_video_tokens, spec.hw)
+    return McamMask(rows, SHOWCASE.n_video_tokens, SHOWCASE.hw)
+
+
+# (argument, mask) pairs, none of them the showcase layout's own mask
+FOREIGN_MASKS = {
+    "entity-count": ("mcam", build_mcam(make_spec(2, 4, 4, objs=1, groups=(1, 1, 1), no_spans=True, text_len=19))),
+    "caption-length": ("mcam", build_mcam(make_spec(2, 4, 4, bg=1, objs=1, groups=(1, 1), no_spans=True, text_len=18))),
+    # the plan's int8 table truncated 0.5 to 0 and wrapped 300 to 44
+    "level-0.5": ("mcam", _levels_with(0.5, np.float64)),
+    "level-2": ("mcam", _levels_with(2, np.int8)),
+    "level-300": ("mcam", _levels_with(300, np.int16)),
+    # a valid rule of levels, but not this layout's: it lifts every caption token
+    "all-plus-one": ("mcam", McamMask(np.ones((6, 19), np.int8), SHOWCASE.n_video_tokens, SHOWCASE.hw)),
+    # the layout's own blocks, over another token count
+    "token-count": ("csam", CsamMask(5, build_csam(SHOWCASE).blocks)),
+    "cover-of-another-layout": ("csam", build_csam(make_spec(1, 1, 2, bg=1))),
+    # a valid cover at r=0.5 that lets the condition rows see every branch
+    "full-cover": ("csam", CsamMask(SHOWCASE.n_tokens, (Block(0, SHOWCASE.n_tokens, 0, SHOWCASE.n_tokens),))),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_MASKS)
+def test_block_rejects_a_mask_of_another_layout(case):
+    spec = SHOWCASE
+    assert (spec.n_entities, spec.text_len) == (6, 19)
+    arg, mask = FOREIGN_MASKS[case]
+    weights, x, text = _problem(spec, 3)
     with mock.patch.object(block, "rotary_table") as rotary:
-        with pytest.raises(ValueError, match=f"mcam levels must be -1, 0 or \\+1, got {level}"):
-            block_forward(weights, x, text, spec, AttnConfig(), mcam=mcam)
+        with pytest.raises(ValueError, match=f"^{arg} must be the layout's own mask"):
+            block_forward(weights, x, text, spec, AttnConfig(), **{arg: mask})
     rotary.assert_not_called()  # rejected before any compute
 
 
-def test_block_rejects_a_cover_over_another_token_count():
-    # the blocks are the layout's own, only the mask's n is not
-    spec = corpus_layout("showcase")
+def test_block_accepts_the_layout_s_own_masks_in_any_block_order():
+    spec = SHOWCASE
     weights, x, text = _problem(spec, 3)
-    csam = CsamMask(5, build_csam(spec).blocks)
-    with mock.patch.object(block, "rotary_table") as rotary:
-        with pytest.raises(ValueError, match=f"csam is a mask over 5 tokens, the layout has {spec.n_tokens}"):
-            block_forward(weights, x, text, spec, AttnConfig(), csam=csam)
-    rotary.assert_not_called()
+    csam, mcam = build_csam(spec), build_mcam(spec)
+    shuffled = CsamMask(csam.n, csam.blocks[::-1])
+    want = block_forward(weights, x, text, spec, AttnConfig())
+    assert block_forward(weights, x, text, spec, AttnConfig(), shuffled, mcam).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("arg", ["csam", "mcam"])

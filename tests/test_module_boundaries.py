@@ -89,7 +89,7 @@ def test_block_builds_the_plan_in_one_function():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                     callers.setdefault(node.func.id, set()).add(fn.name)
-    for name in ("build_csam", "build_mcam", "_validate_blocks", "rotary_table", "_layout_plan"):
+    for name in ("build_csam", "build_mcam", "rotary_table", "_layout_plan"):
         assert callers.get(name) == {"_prepare"}, name
 
 
@@ -121,5 +121,4 @@ def test_block_leaves_each_head_s_attention_to_attention():
         "_cross_head_bwd",
         "_layout_plan",
         "_self_head_bwd",
-        "_validate_blocks",
     }

@@ -68,11 +68,11 @@ def _streamed_grads(Q, K, V, out, lse, g, blocks, scale):
     return _folded_bwd(Qx, Kx, Vx, gx, blocks, scale)
 
 
-def _dense_forward(Q, K, V, bits, blocks, scale):
-    """Masked scaled logits (-inf where masked), the dense kernel's output
-    and each row's log-sum-exp."""
+def _dense_forward(Q, K, V, bits, scale):
+    """Masked scaled logits (-inf where masked), the attention oracle's
+    output and each row's log-sum-exp."""
     logits = np.where(bits, (Q @ K.T) * scale, -np.inf)
-    return logits, masked_self_attention_naive(Q, K, V, CsamMask(len(Q), blocks), scale), _logsumexp(logits)
+    return logits, attention_oracle(Q, K, V, bits=bits, scale=scale), _logsumexp(logits)
 
 
 def test_dense_grads_oracle_matches_central_differences():
@@ -108,7 +108,7 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     Q, K, V, g = _qkvg(n, seed)
     scale = 0.7
     want = masked_attention_grads_oracle(Q, K, V, bits, g, scale)
-    _, want_out, want_lse = _dense_forward(Q, K, V, bits, blocks, scale)
+    _, want_out, want_lse = _dense_forward(Q, K, V, bits, scale)
     with mock.patch.object(attention, "_SELF_TILE", tile), mock.patch.object(
         attention, "_tile_rows", lambda width: tile
     ), mock.patch.object(attention, "_KEY_TILE", keys):
@@ -132,7 +132,7 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
     Q, K, V, _ = _qkvg(n, seed)
     Q *= np.random.default_rng(seed).choice([1.0, 30.0, 1e3, 1e5], size=(n, 1))
     scale = 0.7
-    logits, want_out, want_lse = _dense_forward(Q, K, V, bits, blocks, scale)
+    logits, want_out, want_lse = _dense_forward(Q, K, V, bits, scale)
     # float64 logits carry an absolute error of a few ulps of their size
     size = np.abs(np.where(bits, logits, 0.0)).max(axis=1)
     tol = 1e-12 + 1e-14 * size
@@ -154,7 +154,7 @@ def test_float64_forward_takes_the_exact_route_when_a_norm_overflows():
     Q[1], K[0, 0] = 1e-200, 1e160
     blocks = [Block(0, 3, 0, 3)]
     out, lse = _blockwise(Q, K, V, blocks, 1.0)
-    _, want_out, want_lse = _dense_forward(Q, K, V, np.ones((3, 3), bool), blocks, 1.0)
+    _, want_out, want_lse = _dense_forward(Q, K, V, np.ones((3, 3), bool), 1.0)
     np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-15)
 
@@ -332,11 +332,10 @@ def test_plain_block_is_the_full_cover_without_level_term():
     spec = corpus_layout("showcase")
     w, x, text, _ = _problem(spec, 4)
     n = spec.n_tokens
-    full = CsamMask(n, (Block(0, n, 0, n),))
     plain = plain_block_forward(w, x, text, spec, AttnConfig())
-    np.testing.assert_array_equal(
-        plain, block_forward(w, x, text, spec, AttnConfig(r=0.0), csam=full)
-    )
+    w64, x64, text64, plan = _prepare(w, x, text, spec, AttnConfig(r=0.0))
+    full = plan._replace(blocks=(Block(0, n, 0, n),))
+    assert plain.tobytes() == _forward(w64, x64, text64, full).tobytes()
     # unmasked: condition rows see the video tokens
     bumped = x.copy()
     bumped[: spec.n_video_tokens] += np.random.default_rng(5).standard_normal(
