@@ -113,6 +113,14 @@ def _as_matrix(name: str, x: np.ndarray, floating: bool = True) -> np.ndarray:
     return x
 
 
+def _finite_output(out: np.ndarray) -> np.ndarray:
+    """``out``, or ``ValueError`` if it holds an inf or NaN, as finite inputs
+    give when their products overflow."""
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite output: the inputs overflow")
+    return out
+
+
 def _default_scale(k_cols: int) -> float:
     return 1.0 / math.sqrt(k_cols)
 
@@ -163,7 +171,7 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block]):
         raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
     _validate_blocks(blocks, n)
     # a copy of Q, which _blockwise may overwrite, in the common dtype
-    return _blockwise(Q.astype(np.result_type(Q, K, V), order="C"), K, V, blocks)[0]
+    return _finite_output(_blockwise(Q.astype(np.result_type(Q, K, V), order="C"), K, V, blocks)[0])
 
 
 def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):

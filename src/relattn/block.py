@@ -54,13 +54,7 @@ def flow_interpolate(z: np.ndarray, z0: np.ndarray, t: float) -> tuple[np.ndarra
         raise ValueError(f"z and z0 shapes differ: {z.shape} vs {z0.shape}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    if t == 0.0:
-        z_t = z0.copy()
-    elif t == 1.0:
-        z_t = z.copy()
-    else:
-        z_t = (1.0 - t) * z0 + t * z
-    return z_t, z - z0
+    return (1.0 - t) * z0 + t * z, z - z0
 
 
 def fm_loss(pred: np.ndarray, v_t: np.ndarray) -> float:
@@ -114,6 +108,8 @@ class BlockWeights:
         h, c, d = self.wq.shape
         if h < 1:
             raise ValueError(f"a block needs at least one head, got {h}")
+        if c < 1:
+            raise ValueError(f"a block needs at least one channel, got {c}")
         self.n_heads = h
         self.head_dim = d
         ct = self.ck.shape[1] if self.ck.ndim == 3 else None  # None matches no shape

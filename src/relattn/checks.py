@@ -1,8 +1,13 @@
 """Runtime invariant battery behind ``relctl check``.
 
-Every structural and numeric invariant of the engine, measured with explicit
-errors.  The test suite carries its own independent oracles; the checks here
-are the self-contained subset a deployment can run against any layout.
+Per layout, on the forms the block runs: the branch partition, the entity
+level rows against the pairwise level rule, unique positions, the cover
+against the branch rule as rectangles and the level rows' group symmetry;
+then the streaming self-attention against the dense kernel, block order,
+branch isolation and video omniscience, and the cross-attention's r=0
+identity, exact Eq. 5 and level monotonicity.  Once: rotary, flow matching,
+the block's branch isolation and a gradient check.  The test suite holds
+the dense masks against its own independent oracles.
 """
 
 from __future__ import annotations
@@ -50,17 +55,13 @@ def check_layout(name: str, spec: LayoutSpec, seed: int = 0) -> list[CheckResult
     )
 
     mcam = masks.build_mcam(spec)
-    ok = bool(np.isin(mcam.levels, (-1, 0, 1)).all())
-    ok &= not mcam.levels[: spec.n_video_tokens].any()
-    if spec.text_len:
-        pairwise = np.array(
-            [
-                [reference.text_level_of(spec, v, t) for t in range(spec.text_len)]
-                for v in range(n)
-            ],
-            dtype=np.int8,
-        )
-        ok &= bool(np.array_equal(pairwise, mcam.levels))
+    # the oracle reads only a token's frame: one token per frame covers every
+    # pair, and the video frames must come out all zero
+    frames = spec.T + spec.n_entities
+    oracle = [reference.text_level_of(spec, f * spec.hw, t) for f in range(frames) for t in range(spec.text_len)]
+    ok = np.array_equal(
+        np.reshape(oracle, (frames, spec.text_len)), np.pad(mcam.entity_levels, ((spec.T, 0), (0, 0)))
+    )
     out.append(CheckResult(f"text-levels[{name}]", ok))
 
     positions = rotary.position_array(spec)
@@ -72,31 +73,22 @@ def check_layout(name: str, spec: LayoutSpec, seed: int = 0) -> list[CheckResult
     )
 
     csam = masks.build_csam(spec)
-    bits = csam.bits
-    ok = bool(bits[: spec.n_video_tokens].all())
-    ok &= not bits[spec.n_video_tokens :, : spec.n_video_tokens].any()
-    ok &= bool(bits.diagonal().all())
-    if spec.n_entities:
-        ok &= bool(bits[0, spec.n_video_tokens]) and not bits[spec.n_video_tokens, 0]
-    # the cover is derived from the layout and ``bits`` materialized from it,
-    # so compare against the branch rule computed from the token branch ids
-    rule = (branch[:, None] < 0) | (branch[:, None] == branch[None, :])
-    ok &= bool(np.array_equal(bits, rule))
+    # the branch rule as rectangles: the video rows over every key, then one
+    # square per run of equal branch ids, n_branches of them
+    edges = [*(np.flatnonzero(np.diff(branch)) + 1).tolist(), n]
+    squares = tuple(masks.Block(a, b, a, b) for a, b in zip(edges, edges[1:]))
+    ok = csam.blocks == (masks.Block(0, spec.n_video_tokens, 0, n), *squares)
+    ok &= len(squares) == spec.n_branches
     out.append(CheckResult(f"csam-structure[{name}]", ok, detail=f"{len(csam.blocks)} blocks"))
 
     ok = True
     for g, members in enumerate(spec.groups):
-        other = np.zeros(spec.text_len, dtype=bool)
-        for g2, members2 in enumerate(spec.groups):
-            if g2 == g:
-                continue
-            for m in members2:
-                span = spec.entities[m].span
-                if span is not None:
-                    other[span[0] : span[1]] = True
-        rows = [mcam.levels[slice(*spec.entity_range(m))][:, other] for m in members]
-        first = rows[0][0] if rows[0].size else None
-        ok &= all(bool(np.array_equal(r, np.broadcast_to(first, r.shape))) for r in rows if r.size)
+        other = np.zeros(spec.text_len, dtype=bool)  # the other groups' spans
+        for span in [spec.entities[m].span for g2, ms in enumerate(spec.groups) if g2 != g for m in ms]:
+            if span is not None:
+                other[span[0] : span[1]] = True
+        rows = mcam.entity_levels[list(members)][:, other]
+        ok &= bool((rows == rows[:1]).all())
     out.append(CheckResult(f"mcam-group-symmetry[{name}]", ok))
 
     out.extend(_kernel_checks(name, spec, csam, mcam, seed))
@@ -132,19 +124,19 @@ def _kernel_checks(name, spec, csam, mcam, seed) -> list[CheckResult]:
         K2, V2 = K.copy(), V.copy()
         K2[: spec.n_video_tokens] += rng.standard_normal((spec.n_video_tokens, dim)).astype(np.float32)
         V2[: spec.n_video_tokens] += 1.0
-        alt = reference.masked_self_attention_naive(Q, K2, V2, csam)
+        alt = attention.masked_self_attention_blockwise(Q, K2, V2, csam.blocks)
         out.append(
             _result(
                 f"branch-isolation[{name}]",
-                float(np.max(np.abs(alt[cond] - ref[cond]))),
+                float(np.max(np.abs(alt[cond] - stream[cond]))),
                 1e-6,
             )
         )
         K3, V3 = K.copy(), V.copy()
         K3[cond] += rng.standard_normal((n - spec.n_video_tokens, dim)).astype(np.float32)
         V3[cond] += 1.0
-        alt3 = reference.masked_self_attention_naive(Q, K3, V3, csam)
-        moved = float(np.max(np.abs(alt3[: spec.n_video_tokens] - ref[: spec.n_video_tokens])))
+        alt3 = attention.masked_self_attention_blockwise(Q, K3, V3, csam.blocks)
+        moved = float(np.max(np.abs(alt3[: spec.n_video_tokens] - stream[: spec.n_video_tokens])))
         out.append(
             CheckResult(
                 f"video-omniscience[{name}]", moved > 1e-3, error=moved, detail="expects > 1e-3"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _patch_sum
+from .attention import AttnConfig, _as_matrix, _attend, _default_scale, _finite_output, _patch_sum
 from .layout import SUBJECT_KINDS, LayoutSpec, _check_int
 from .masks import Block, CsamMask
 
@@ -26,7 +26,7 @@ def standard_attention(Q, K, V, *, return_weights: bool = False):
     if K.shape[0] == 0:
         raise ValueError("attention requires at least one key")
     scale = _default_scale(K.shape[1])
-    out = _attend(Q, K, V, scale)[0]
+    out = _finite_output(_attend(Q, K, V, scale)[0])
     return (out, _weights(Q, K, scale)) if return_weights else out
 
 
@@ -67,7 +67,7 @@ def masked_self_attention_naive(Q, K, V, mask: CsamMask, *, return_weights: bool
     np.maximum(logits, np.finfo(logits.dtype).min, out=logits)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    out = w @ V
+    out = _finite_output(w @ V)
     return (out, w) if return_weights else out
 
 
@@ -87,7 +87,7 @@ def compute_scaling_s(Q, K_text, spec: LayoutSpec, d: int) -> np.ndarray:
         raise ValueError(f"Q and K_text feature dims differ: {Q.shape[1]} vs {K_text.shape[1]}")
 
     cells = _patch_sum(np.ones((spec.n_tokens, 1), Q.dtype), spec, d)
-    s = np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T)
+    s = _finite_output(np.abs((_patch_sum(Q, spec, d) / cells) @ K_text.T))
     frames, rows, cols = spec.T + spec.n_entities, -(-spec.H // d), -(-spec.W // d)
     frame, i, j = np.indices((frames, spec.H, spec.W)).reshape(3, -1)  # of each token
     return s.reshape(frames, rows, cols, K_text.shape[0])[frame, i // d, j // d]
@@ -120,7 +120,7 @@ def relational_cross_attention(
 
     table = levels * (s * np.result_type(Q, K, s).type(cfg.r))
     scale = _default_scale(K.shape[1])
-    out = _attend(Q, K, V, scale, (table, np.arange(len(Q)), 0))[0]
+    out = _finite_output(_attend(Q, K, V, scale, (table, np.arange(len(Q)), 0))[0])
     return (out, _weights(Q, K, scale, table)) if return_weights else out
 
 

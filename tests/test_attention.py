@@ -436,6 +436,20 @@ def test_non_finite_input_rejected(kernel, arg):
         call(args)
 
 
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e200), (np.float32, 1e30)])
+@pytest.mark.parametrize("kernel", FINITE_KERNELS)
+def test_overflowing_input_rejected(kernel, dtype, big):
+    # finite inputs whose products overflow gave inf or NaN with only a
+    # RuntimeWarning, which the suite turns into an error, hence errstate
+    rows, call = FINITE_KERNELS[kernel]
+    args = {
+        name: rnd((n, _L if name == "s" else 4), seed, dtype) * dtype(big)
+        for seed, (name, n) in enumerate(rows.items())
+    }
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite output"):
+        call(args)
+
+
 @pytest.mark.parametrize(
     "kernel, arg", [(k, arg) for k, (rows, _) in FINITE_KERNELS.items() for arg in rows]
 )

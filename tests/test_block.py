@@ -217,6 +217,13 @@ def test_weights_reject_a_non_array_field(setup, name):
         BlockWeights(**arrays)
 
 
+def test_weights_reject_zero_channels():
+    # zero channels built, and the block then returned an (n, 0) array
+    # through "Mean of empty slice" and a grad check a NaN loss
+    with pytest.raises(ValueError, match="at least one channel, got 0"):
+        init_weights(np.random.default_rng(0), 0, 12)
+
+
 def test_r_changes_output(setup):
     spec, weights, x, text = setup
     a = block_forward(weights, x, text, spec, AttnConfig(r=0.0))
