@@ -23,17 +23,14 @@ by :func:`_tile_rows` rows, so that every tile of every float64 walk holds
 about ``_BWD_TILE`` x ``_KEY_TILE`` elements and no buffer grows with the
 width of a block.
 
-A GEMM's right operand is row-major in every float64 walk.  OpenBLAS packs
-a thin transposed right operand, such as the K^T of a logits tile, far more
-slowly than a row-major one: a (512 x 9) @ (9 x 64) float64 GEMM took 35.6 us
-through a ``.T`` view and 21.5 us from a copy (1 thread, Xeon, OpenBLAS
-0.3.31).  So the three-pass forward copies K^T once per call, the
-cross-attention copies its transposed operands once per head
-(:func:`_transposed`), and the self-attention backward copies Q^T and g^T
-once per query tile.  A transposed left operand costs nothing extra.  The
-pinned float32 routes, :func:`_one_pass` and the float32 :func:`_attend`,
-are the exception and keep their ``.T`` views: a 1-row GEMM's bits follow
-its operand's layout, so a 1-row tile would move their output.
+A GEMM's right operand is row-major in every walk and dtype.  OpenBLAS
+packs a thin transposed right operand, such as the K^T of a logits tile, far
+more slowly than a row-major one: a (512 x 9) @ (9 x 64) float64 GEMM took
+35.6 us through a ``.T`` view and 21.5 us from a copy (1 thread, Xeon,
+OpenBLAS 0.3.31).  So both self-attention forwards copy K^T once per call,
+the cross-attention copies its transposed operands once per head, and the
+self-attention backward copies Q^T and g^T once per query tile.  A
+transposed left operand costs nothing extra.
 
 All kernels follow the dtype of their inputs (float32 in production, float64
 when tests want oracle precision) and are deterministic for fixed inputs.
@@ -171,12 +168,15 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block]):
         raise ValueError(f"Q and K feature dims differ: {Q.shape[1]} vs {K.shape[1]}")
     _validate_blocks(blocks, n)
     # a copy of Q, which _blockwise may overwrite, in the common dtype
-    return _finite_output(_blockwise(Q.astype(np.result_type(Q, K, V), order="C"), K, V, blocks)[0])
+    qkv = [Q.astype(np.result_type(Q, K, V), order="C"), K, V]
+    return _finite_output(_blockwise(qkv, blocks)[0])
 
 
-def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
+def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
-    of its scaled logits, from which :func:`_folded_bwd` recomputes weights.
+    of its scaled logits, from which :func:`_folded_bwd` recomputes weights,
+    for ``qkv`` = [Q, K, V], which it empties: float32's row-major K^T then
+    takes K's place instead of adding to it.
 
     float32 over a cover that visits each query row once, as both covers
     the block runs do (the layout's own and the plain baseline's full
@@ -198,10 +198,14 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     the float32 route writes its output over ``Q``.  ``scale``, which the
     block never sets, defaults to 1/sqrt(K's width).
     """
+    Q, K, V = qkv
+    qkv.clear()
     n, scale = Q.shape[0], _default_scale(K.shape[1]) if scale is None else scale
     dt = np.result_type(Q, K, V)
     if dt == np.float32 and sum(b.q1 - b.q0 for b in blocks) == n:
-        return _one_pass(Q, K, V, blocks, scale)
+        KT = K.T.copy()
+        del K
+        return _one_pass(Q, KT, V, blocks, scale)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
     buf = np.empty(_tile_size(blocks, _tile_rows, _KEY_TILE), dtype=dt)
@@ -241,22 +245,23 @@ def _blockwise(Q, K, V, blocks: Sequence[Block], scale: float | None = None):
     return acc[:, :-1] / acc[:, -1:], c + np.log(acc[:, -1])
 
 
-def _one_pass(Q, K, V, blocks: Sequence[Block], scale: float):
+def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
     """:func:`_blockwise` for float32 over a cover that visits each query row
-    once, in tiles of ``_SELF_TILE`` rows x a whole block: a tile holds all
-    of its rows' logits, so each row takes its max, sum and log-sum-exp once.
-    A tile's output goes over the rows of ``Q`` its first GEMM has just read
-    (into a new array when V is wider or narrower than Q)."""
-    n, dt = Q.shape[0], Q.dtype
+    once, from ``KT`` = K^T row-major, in tiles of ``_SELF_TILE`` rows x a
+    whole block: a tile holds all of its rows' logits, so each row takes its
+    max, sum and log-sum-exp once.  A tile's output goes over the rows of
+    ``Q`` its first GEMM has just read (into a new array when V is wider or
+    narrower than Q)."""
+    n, keys, dt = Q.shape[0], KT.shape[1], Q.dtype
     sc = dt.type(scale)
     out = Q if Q.shape[1] == V.shape[1] else np.empty((n, V.shape[1]), dtype=dt)
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
-    buf = np.empty(_tile_size(blocks, lambda width: _SELF_TILE, n), dtype=dt)
+    buf = np.empty(_tile_size(blocks, lambda width: _SELF_TILE, keys), dtype=dt)
     for blk in blocks:
-        # n keys per tile: one key chunk spans the whole block
-        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _SELF_TILE, n):
+        # a key chunk as wide as the keys spans the whole block
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _SELF_TILE, keys):
             logits = _view(buf, qs, ks)
-            np.matmul(Q[qs], K[ks].T, out=logits)
+            np.matmul(Q[qs], KT[:, ks], out=logits)
             logits *= sc
             peak[qs] = logits.max(axis=1)
             logits -= peak[qs, None]
@@ -286,14 +291,6 @@ def _tile_rows(width: int) -> int:
     all of it, keeps its tiles no larger than a short one's until it passes
     ``_KEY_TILE`` tokens."""
     return max(_BWD_TILE, _BWD_TILE * _KEY_TILE // width)
-
-
-def _transposed(x: np.ndarray) -> np.ndarray:
-    """``x``^T as a GEMM's right operand: a row-major copy, which BLAS packs
-    faster than a transposed view when ``x`` is thin, except in float32,
-    whose pinned outputs a copy would move (a 1-row GEMM's bits follow its
-    operand's layout)."""
-    return x.T if x.dtype == np.float32 else x.T.copy()
 
 
 def _tiles(q0: int, q1: int, k0: int, k1: int, rows: int, cols: int):
@@ -386,15 +383,14 @@ def _attend(Q, K, V, scale, level_term=None):
     """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
     and each query row's log-sum-exp of its scaled logits, from which
     :func:`_cross_head_bwd` recomputes the weights.  Walks tiles through one
-    reused logits buffer, each filled by :func:`_cross_logits`: float32, whose
-    output bits the README loss pins, in ``_CROSS_TILE`` rows against a
-    ``K.T`` view; every other dtype in the :func:`_tile_rows` rows its
-    backward walks (963 at 34 caption tokens) against a row-major copy of
-    K^T."""
+    reused logits buffer, each filled by :func:`_cross_logits` against a
+    row-major copy of K^T: float32, whose output bits the README loss pins,
+    in ``_CROSS_TILE`` rows; every other dtype in the :func:`_tile_rows`
+    rows its backward walks (963 at 34 caption tokens)."""
     n, L = Q.shape[0], K.shape[0]
     dt = np.result_type(Q, K) if level_term is None else np.result_type(Q, K, level_term[0])
     tile, term = (_CROSS_TILE if dt == np.float32 else _tile_rows(L)), None
-    KT = _transposed(K)
+    KT = K.T.copy()
     if level_term is not None:
         table, _, first = level_term
         term = np.empty((min(tile, n - first), L), dtype=table.dtype)  # rows >= first only
@@ -423,11 +419,11 @@ def _cross_head(qc, kc, vc, plan):
 
 def _cross_logits(logits, Q, KT, rows, level_term, term, scale):
     """(Q[rows] K^T [+ level term]) * scale, the logits of a tile of both
-    cross-attention walks, into ``logits``, with ``KT`` = K^T as
-    :func:`_transposed` gives it.  ``level_term=(table, index, first)``
-    adds ``table[index[i]]``, the relational levels * s * r stored once per
-    distinct row, to every query row ``i >= first``, gathered through the
-    front rows of ``term``; earlier rows have all-zero levels."""
+    cross-attention walks, into ``logits``, with ``KT`` = K^T row-major.
+    ``level_term=(table, index, first)`` adds ``table[index[i]]``, the
+    relational levels * s * r stored once per distinct row, to every query
+    row ``i >= first``, gathered through the front rows of ``term``; earlier
+    rows have all-zero levels."""
     np.matmul(Q[rows], KT, out=logits)
     if level_term is not None:
         table, index, first = level_term
@@ -447,7 +443,7 @@ def _level_term(qc, kc, plan):
     the first row it reaches (``plan.first``)."""
     cells, row_patch, levels = plan.patches
     pooled = _patch_sum(qc, plan.spec, plan.d) / cells
-    sim = pooled @ _transposed(kc)
+    sim = pooled @ kc.T.copy()
     table = np.abs(sim)
     table *= table.dtype.type(plan.r)
     table *= levels  # level * (s * r), as the dense kernel's levels * s * r
@@ -478,7 +474,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
     slope *= plan.r
     gco, gqc = np.zeros_like(co), np.empty_like(qc)
     gkc, gvc = np.zeros_like(kc), np.zeros_like(vc)
-    kcT, vcT, coT = _transposed(kc), _transposed(vc), _transposed(co)
+    kcT, vcT, coT = kc.T.copy(), vc.T.copy(), co.T.copy()
     tile = _tile_rows(L)
     p_buf, ds_buf = (np.empty((min(tile, n), L), dtype=qc.dtype) for _ in range(2))
     for rows, _ in _tiles(0, n, 0, L, tile, L):

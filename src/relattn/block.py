@@ -21,6 +21,7 @@ from .attention import (
     _blockwise,
     _cross_head,
     _cross_head_bwd,
+    _finite_output,
     _layout_plan,
     _self_head_bwd,
 )
@@ -271,10 +272,10 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=Non
     return w, x, text, _layout_plan(spec, cfg, own_csam.blocks, rot, own_mcam.entity_levels)
 
 
-def _self_qkv(w: BlockWeights, h, u, rot):
+def _self_qkv(w: BlockWeights, h, u, rot) -> list:
     """Head ``h``'s rotated self-attention queries and keys, and its values."""
     cos, sin = rot
-    return rotate(u @ w.wq[h], cos, sin), rotate(u @ w.wk[h], cos, sin), u @ w.wv[h]
+    return [rotate(u @ w.wq[h], cos, sin), rotate(u @ w.wk[h], cos, sin), u @ w.wv[h]]
 
 
 def _head_sum(total, h, a, proj):
@@ -301,7 +302,8 @@ def _forward(w: BlockWeights, x, text, plan, tape=None):
 def _self_layer(w: BlockWeights, x, plan, tape=None):
     """x + the self-attention of LN(x), each head streamed over the plan's
     block cover (:func:`_blockwise`).  Untaped, it holds one head's working
-    set: its q, k and v (the float32 kernel writes the output over q), the
+    set: its q, k and v, handed over in a list the kernel empties (the
+    float32 kernel writes the output over q and holds K^T in k's place), the
     residual sum and the normalized input ``u`` only until the last head is
     projected.  Tapes ``u``, its scale and each head's output and lse."""
     u, inv = _layer_norm(x)
@@ -313,8 +315,7 @@ def _self_layer(w: BlockWeights, x, plan, tape=None):
         qkv = _self_qkv(w, h, u, plan.rot)
         if h == w.n_heads - 1:
             del u
-        a, lse = _blockwise(*qkv, plan.blocks)
-        del qkv
+        a, lse = _blockwise(qkv, plan.blocks)  # empties qkv
         if tape is not None:
             heads.append((a, lse))
         sa = _head_sum(sa, h, a, w.wo)
@@ -378,7 +379,7 @@ def block_forward(
     count and set of blocks, the same entity level rows), or ``ValueError``
     names it before any compute, so passing one never changes the output.
     """
-    return _checked_forward(*_prepare(weights, z_tokens, text, spec, cfg, csam, mcam))
+    return _finite_output(_forward(*_prepare(weights, z_tokens, text, spec, cfg, csam, mcam)))
 
 
 def plain_block_forward(
@@ -392,15 +393,7 @@ def plain_block_forward(
     (every query sees every key) and no level-mask term (r=0)."""
     w, x, text, plan = _prepare(weights, z_tokens, text, spec, replace(cfg, r=0.0))
     n = spec.n_tokens
-    return _checked_forward(w, x, text, plan._replace(blocks=(Block(0, n, 0, n),)))
-
-
-def _checked_forward(w: BlockWeights, x, text, plan) -> np.ndarray:
-    """:func:`_forward` untaped, or ``ValueError`` on a non-finite output."""
-    y = _forward(w, x, text, plan)
-    if not np.isfinite(y).all():
-        raise ValueError("block produced non-finite output")
-    return y
+    return _finite_output(_forward(w, x, text, plan._replace(blocks=(Block(0, n, 0, n),))))
 
 
 # ---------------------------------------------------------------------------

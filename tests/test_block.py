@@ -536,6 +536,41 @@ def test_overflowing_loss_is_rejected_before_the_backward(fn):
         fn(weights, x, text, spec, AttnConfig(), np.zeros_like(x))
 
 
+@pytest.mark.parametrize("forward", [block_forward, plain_block_forward])
+def test_overflowing_forward_is_rejected(setup, forward):
+    # finite float32 weights whose products overflow: both entry points keep
+    # the kernels' one rule for a non-finite output, and its message
+    spec, weights, x, text = setup
+    big = BlockWeights(**{k: v * np.float32(1e30) for k, v in weights.arrays().items()})
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite output: the inputs overflow"):
+        forward(big, x, text, spec, AttnConfig())
+
+
+@pytest.mark.parametrize(
+    "spec, tiles",
+    [
+        (make_spec(1, 1, 43, objs=2), (True, False)),
+        (make_spec(1, 1, 257, bg=1), (False, True)),
+        (make_spec(1, 1, 257, text_len=4), (True, True)),
+    ],
+)
+def test_float32_forward_with_one_row_tiles_matches_float64(spec, tiles):
+    # a walk's last tile holds one row: the float32 cross-attention's when
+    # n = 1 mod _CROSS_TILE, and the self-attention's over a block of
+    # 1 mod _SELF_TILE rows
+    cross = spec.text_len > 0 and spec.n_tokens % attention._CROSS_TILE == 1
+    heights = {b.q1 - b.q0 for b in build_csam(spec).blocks}
+    assert (cross, any(m % attention._SELF_TILE == 1 for m in heights)) == tiles
+    rng = np.random.default_rng(19)
+    w = init_weights(rng, 16, 12)
+    x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
+    text = rng.standard_normal((spec.text_len, 12)).astype(np.float32)
+    w64, x64, t64 = w.astype(np.float64), x.astype(np.float64), text.astype(np.float64)
+    want = block_forward(w64, x64, t64, spec, AttnConfig())
+    got = block_forward(w, x, text, spec, AttnConfig())
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("entry", [block_forward, loss_and_gradients])
 def test_a_block_without_heads_is_rejected(entry):
     spec, _, x, text = _small_problem()

@@ -119,6 +119,7 @@ def test_block_leaves_each_head_s_attention_to_attention():
         "_blockwise",
         "_cross_head",
         "_cross_head_bwd",
+        "_finite_output",
         "_layout_plan",
         "_self_head_bwd",
     }

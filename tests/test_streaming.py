@@ -107,6 +107,27 @@ def test_blockwise_matches_naive_across_tiles(bench):
     assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) <= 1e-5
 
 
+def test_blockwise_matches_naive_with_one_row_tiles():
+    # both blocks are _SELF_TILE + 1 rows tall, so each float32 block walk
+    # ends in a tile of one row
+    spec = make_spec(1, 1, 257, bg=1)
+    csam = build_csam(spec)
+    assert {b.q1 - b.q0 for b in csam.blocks} == {attention._SELF_TILE + 1}
+    Q, K, V = (rnd((spec.n_tokens, 8), seed) for seed in (41, 42, 43))
+    ref = masked_self_attention_naive(Q, K, V, csam)
+    np.testing.assert_allclose(masked_self_attention_blockwise(Q, K, V, csam.blocks), ref, rtol=0, atol=1e-5)
+
+
+def test_float32_blockwise_takes_each_row_s_softmax_over_all_its_keys():
+    # 32 queries over 128 keys: a key chunk as wide as the query count split
+    # the block into four, and each chunk's softmax overwrote the last
+    Q, K, V = rnd((32, 8), 44), rnd((128, 8), 45), rnd((128, 8), 46)
+    blocks = [Block(0, 32, 0, 128)]
+    want, _ = attention._blockwise([a.astype(np.float64) for a in (Q, K, V)], blocks)
+    got, _ = attention._blockwise([Q, K, V], blocks)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
 def test_r0_bit_identical_across_tiles(bench):
     spec, Q, _, _, Kt, Vt = bench
     s = compute_scaling_s(Q, Kt, spec, 8)
@@ -207,7 +228,7 @@ def test_blockwise_backward_tiles_are_no_taller_than_their_blocks(traced_peak_mi
     cover = _short_wide_cover(n, 6)
     cut = [Block(b.q0, b.q1, k, k + chunk) for b in cover for k in range(0, n, chunk)]
     Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (24, 25, 26, 27))
-    out, lse = attention._blockwise(Q, K, V, cover, 0.5)
+    out, lse = attention._blockwise([Q, K, V], cover, 0.5)
     # the operands folded as the training backward folds them
     gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
     folded = (*attention._folded(Q * 0.5, K, V, lse), gx)
@@ -228,7 +249,7 @@ def test_blockwise_backward_tiles_of_narrow_blocks_stay_within_the_budget(traced
     assert attention._tile_rows(width) >= n > 16 * attention._BWD_TILE
     cover = [Block(0, n, k, k + width) for k in range(0, 8 * width, width)]
     Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (28, 29, 30, 31))
-    out, lse = attention._blockwise(Q, K, V, cover, 0.5)
+    out, lse = attention._blockwise([Q, K, V], cover, 0.5)
     gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
     folded = (*attention._folded(Q * 0.5, K, V, lse), gx)
     peak = traced_peak_mib(attention._folded_bwd, *folded, cover, 0.5)

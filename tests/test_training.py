@@ -113,7 +113,7 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
         attention, "_tile_rows", lambda width: tile
     ), mock.patch.object(attention, "_KEY_TILE", keys):
         for order in (blocks, blocks[::-1]):
-            out, lse = _blockwise(Q, K, V, order, scale)
+            out, lse = _blockwise([Q, K, V], order, scale)
             np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-12)
             for got, ref in zip(_streamed_grads(Q, K, V, out, lse, g, order, scale), want):
@@ -142,7 +142,7 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
         attention, "_KEY_TILE", keys
     ):
         for order in (blocks, blocks[::-1]):
-            out, lse = _blockwise(Q, K, V, order, scale)
+            out, lse = _blockwise([Q, K, V], order, scale)
             assert np.isfinite(out).all() and np.isfinite(lse).all()
             assert (np.abs(out - want_out) <= tol[:, None]).all()
             assert (np.abs(lse - want_lse) <= tol).all()
@@ -153,7 +153,7 @@ def test_float64_forward_takes_the_exact_route_when_a_norm_overflows():
     Q, K, V = np.zeros((3, 2)), np.ones((3, 2)), np.eye(3)[:, :2].copy()
     Q[1], K[0, 0] = 1e-200, 1e160
     blocks = [Block(0, 3, 0, 3)]
-    out, lse = _blockwise(Q, K, V, blocks, 1.0)
+    out, lse = _blockwise([Q, K, V], blocks, 1.0)
     _, want_out, want_lse = _dense_forward(Q, K, V, np.ones((3, 3), bool), 1.0)
     np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-15)
@@ -170,7 +170,7 @@ def test_float64_forward_matches_long_double_oracle(factor):
     rng = np.random.default_rng(21)
     Q, K, V = (rng.standard_normal((n, 8)) for _ in range(3))
     Q *= factor
-    out, lse = _blockwise(Q, K, V, blocks)
+    out, lse = _blockwise([Q, K, V], blocks)
     wide = np.longdouble
     Ql, Kl, Vl = Q.astype(wide), K.astype(wide), V.astype(wide)
     for i in range(0, n, 23):  # rows of every block and every tile
@@ -197,7 +197,7 @@ def test_blockwise_backward_matches_dense_oracle_at_the_shipped_tile():
     Q, K, V, g = _qkvg(n, 11)
     scale = 0.5
     want = masked_attention_grads_oracle(Q, K, V, csam_oracle(spec), g, scale)
-    out, lse = _blockwise(Q, K, V, blocks, scale)
+    out, lse = _blockwise([Q, K, V], blocks, scale)
     for got, ref in zip(_streamed_grads(Q, K, V, out, lse, g, blocks, scale), want):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
