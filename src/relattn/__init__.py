@@ -5,7 +5,8 @@ exact rectangular-block cover, a multilevel cross-attention mask with
 position-wise dynamic scaling, block-streaming kernels, and a toy relational
 transformer block trained with a flow-matching objective.  The dense
 reference paths that the checks, ``relctl bench`` and the tests hold those
-against live in :mod:`relattn.reference`, the package's executable spec.
+against live in :mod:`relattn.reference`, the package's executable spec,
+which ``import relattn`` does not load: import them from there.
 """
 
 import os
@@ -60,14 +61,6 @@ from .layout import (  # noqa: E402
     to_json,
 )
 from .masks import Block, CsamMask, McamMask, build_csam, build_mcam  # noqa: E402
-from .reference import (  # noqa: E402
-    compute_scaling_s,
-    decompose_blocks,
-    masked_self_attention_naive,
-    relational_cross_attention,
-    standard_attention,
-    text_level_of,
-)
 from .rotary import (  # noqa: E402
     default_split,
     position_array,
@@ -90,8 +83,6 @@ __all__ = [
     "block_forward",
     "build_csam",
     "build_mcam",
-    "compute_scaling_s",
-    "decompose_blocks",
     "default_split",
     "demo_fit",
     "flow_interpolate",
@@ -99,14 +90,10 @@ __all__ = [
     "grad_check",
     "init_weights",
     "masked_self_attention_blockwise",
-    "masked_self_attention_naive",
     "parse_spec",
     "plain_block_forward",
     "position_array",
-    "relational_cross_attention",
     "rotary_table",
     "rotate",
-    "standard_attention",
-    "text_level_of",
     "to_json",
 ]

@@ -11,17 +11,17 @@ key-major (P^T = K Q^T) where that forward fills it query-major.  The dense
 reference kernels live in :mod:`relattn.reference`.
 
 Every walk visits the tiles of :func:`_tiles`; cross-attention's span the
-whole caption.  Float32 self-attention, whose output bits the README loss
-pins, takes each query row's softmax in one tile of ``_SELF_TILE`` rows x a
-whole block when its cover visits each row once, as both covers the block
-runs do (the layout's own and the plain baseline's full square), and writes
-the output over the queries it has read.  Other dtypes, and the general
-covers of :func:`masked_self_attention_blockwise`, fix each query row's
-softmax stabilizer before the walk and share the backward's folded GEMM
-operands (:func:`_folded`) and its 2-D tiles of at most ``_KEY_TILE`` keys
-by :func:`_tile_rows` rows, so that every tile of every float64 walk holds
-about ``_BWD_TILE`` x ``_KEY_TILE`` elements and no buffer grows with the
-width of a block.
+whole caption, and every self-attention walk's are :func:`_tile_rows` rows
+tall over a block, by the block's width.  Float32 self-attention, whose
+output bits the README loss pins, takes each query row's softmax in one
+tile of a whole block when its cover visits each row once, as both covers
+the block runs do (the layout's own and the plain baseline's full square),
+and writes the output over the queries it has read.  Other dtypes, and the
+general covers of :func:`masked_self_attention_blockwise`, fix each query
+row's softmax stabilizer before the walk and share the backward's folded
+GEMM operands (:func:`_folded`) and its 2-D tiles of at most ``_KEY_TILE``
+keys, so that every tile of every float64 walk holds about ``_BWD_TILE`` x
+``_KEY_TILE`` elements and no buffer grows with the width of a block.
 
 A GEMM's right operand is row-major in every walk and dtype.  OpenBLAS
 packs a thin transposed right operand, such as the K^T of a logits tile, far
@@ -42,7 +42,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,18 +50,17 @@ from .layout import LayoutSpec, _check_int
 from .masks import Block
 
 # query rows per tile: the streaming kernels hold one tile x keys logits
-# buffer at a time instead of a full query x key matrix.  _SELF_TILE is the
-# height of the float32 one-pass softmax and stays frozen: its output bits,
-# pinned by the README loss, moved at n=7488 for heights of 16-128 rows.
-_SELF_TILE = 256
+# buffer at a time instead of a full query x key matrix.  Float32
+# cross-attention takes _CROSS_TILE rows (see _attend), every other walk
+# _tile_rows.  Each walk but float32's one-pass has one tile shape in both
+# directions, the forward's single buffer and the backward's two (P and dS),
+# of _BWD_TILE x _KEY_TILE elements (256 KiB of float64): the backward's
+# pair fits a 2 MiB L2.  A tile spans at most _KEY_TILE keys, however wide
+# its block (the video rows of the ROADMAP layout see all 7488 keys), and as
+# many rows as fill the budget over its keys: _BWD_TILE rows over a full key
+# chunk, more over a narrower block, so a 144-key block walks 227-row tiles.
+# The one-pass walk spans a whole block in those rows: 64 x 7488 at n=7488.
 _CROSS_TILE = 128
-# Every other dtype walks one tile shape in both directions, the forward's
-# single buffer and the backward's two (P and dS), of _BWD_TILE x _KEY_TILE
-# elements (256 KiB of float64): the backward's pair fits a 2 MiB L2.  A
-# tile spans at most _KEY_TILE keys, however wide its block (the video rows
-# of the ROADMAP layout see all 7488 keys), and as many rows as fill the
-# budget over its keys (_tile_rows): _BWD_TILE rows over a full key chunk,
-# more over a narrower block, so a 144-key block walks 227-row tiles.
 # Median ms of one head's backward in tiles of one fixed height (1 thread,
 # Xeon, 2 MiB L2 per core), for 16/32/48/64/96/128/256 rows:
 #   bench_layout(), n=1872:  10-13 / 7-9 / 7-8 / 8 / 8-9 / 9 / 12
@@ -153,12 +152,12 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block]):
 
     The result matches the dense masked kernel for any block visit order.
     Each block is walked in tiles through one reused logits buffer the size
-    of the cover's largest tile, whatever the sequence length: float32 over
-    a cover that visits each query row once takes each row's softmax whole
-    in tiles of at most 256 rows x a whole block; other dtypes and covers
-    fix each row's softmax stabilizer before the walk, in tiles of at most
-    512 keys and 32768 logits (see :func:`_blockwise`).  The caller's
-    arrays are left as they are.
+    of the cover's largest tile, whatever the sequence length, at least 64
+    rows tall and as tall as fills 32768 logits over at most 512 keys:
+    float32 over a cover that visits each query row once takes each row's
+    softmax whole in tiles of a whole block; other dtypes and covers fix
+    each row's softmax stabilizer before the walk, in tiles of at most 512
+    keys (see :func:`_blockwise`).  The caller's arrays are left as they are.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     n = Q.shape[0]
@@ -184,8 +183,8 @@ def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
     pinned block outputs freeze its bits.  Every other dtype, or a general
     cover of :func:`masked_self_attention_blockwise`, takes three passes
     over the tiles of :func:`_tiles`, at most ``_KEY_TILE`` (512) keys by
-    :func:`_tile_rows` rows (64 over 512 keys, 227 over a 144-key block),
-    the tiles its backward walks too.
+    the :func:`_tile_rows` rows that both routes take (64 over 512 keys,
+    227 over a 144-key block), the tiles its backward walks too.
     First it fixes one stabilizer per query row, ``c = scale |q| max|k|``
     over the keys of the row's blocks: no logit of the row exceeds it, so
     ``exp`` cannot overflow, and the row's true max lies within ``2c``
@@ -208,7 +207,7 @@ def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
         return _one_pass(Q, KT, V, blocks, scale)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
-    buf = np.empty(_tile_size(blocks, _tile_rows, _KEY_TILE), dtype=dt)
+    buf = np.empty(_tile_size(blocks, _KEY_TILE), dtype=dt)
     Qs = Q * scale
     # a norm may overflow, and 0 * inf gives NaN: neither is below the
     # limit, so such rows take the exact route
@@ -247,8 +246,8 @@ def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
 
 def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
     """:func:`_blockwise` for float32 over a cover that visits each query row
-    once, from ``KT`` = K^T row-major, in tiles of ``_SELF_TILE`` rows x a
-    whole block: a tile holds all of its rows' logits, so each row takes its
+    once, from ``KT`` = K^T row-major, in tiles of :func:`_tile_rows` rows x
+    a whole block: a tile holds all of its rows' logits, so each row takes its
     max, sum and log-sum-exp once.  A tile's output goes over the rows of
     ``Q`` its first GEMM has just read (into a new array when V is wider or
     narrower than Q)."""
@@ -256,10 +255,10 @@ def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
     sc = dt.type(scale)
     out = Q if Q.shape[1] == V.shape[1] else np.empty((n, V.shape[1]), dtype=dt)
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
-    buf = np.empty(_tile_size(blocks, lambda width: _SELF_TILE, keys), dtype=dt)
+    buf = np.empty(_tile_size(blocks, keys), dtype=dt)
     for blk in blocks:
         # a key chunk as wide as the keys spans the whole block
-        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _SELF_TILE, keys):
+        for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), keys):
             logits = _view(buf, qs, ks)
             np.matmul(Q[qs], KT[:, ks], out=logits)
             logits *= sc
@@ -275,21 +274,21 @@ def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
     return out, total
 
 
-def _tile_size(blocks: Sequence[Block], rows: Callable[[int], int], cols: int) -> int:
+def _tile_size(blocks: Sequence[Block], cols: int) -> int:
     """Elements of the largest tile a walk of ``blocks`` in tiles of at most
-    ``rows(width)`` queries x ``cols`` keys fills, for a block ``width``
-    keys wide: no tile outgrows its block."""
-    return max((min(rows(b.k1 - b.k0), b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
+    :func:`_tile_rows` queries x ``cols`` keys fills (with ``cols`` = 1, the
+    rows of its tallest tile): no tile outgrows its block."""
+    return max((min(_tile_rows(b.k1 - b.k0), b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
 
 
 def _tile_rows(width: int) -> int:
-    """Query rows of a float64 tile over a block or caption ``width`` keys
-    wide: as many as fill ``_BWD_TILE`` x ``_KEY_TILE`` logits (256 KiB of
-    float64) over the tile's at most ``_KEY_TILE`` keys, so at least
-    ``_BWD_TILE``.  A self-attention block wider than ``_KEY_TILE`` splits
-    into key chunks and takes ``_BWD_TILE`` rows; a caption, whose tiles span
-    all of it, keeps its tiles no larger than a short one's until it passes
-    ``_KEY_TILE`` tokens."""
+    """Query rows of a tile over a self-attention block, or of a float64
+    tile over a caption, ``width`` keys wide: as many as fill ``_BWD_TILE``
+    x ``_KEY_TILE`` logits (256 KiB of float64) over the tile's at most
+    ``_KEY_TILE`` keys, so at least ``_BWD_TILE``.  A self-attention block
+    wider than ``_KEY_TILE`` takes ``_BWD_TILE`` rows; a caption, whose
+    tiles span all of it, keeps its tiles no larger than a short one's until
+    it passes ``_KEY_TILE`` tokens."""
     return max(_BWD_TILE, _BWD_TILE * _KEY_TILE // width)
 
 
@@ -336,9 +335,8 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
     dt = Qx.dtype
     Qs, K, g = Qx[:, :-1], Kx[:, :-1], gx[:, :-1]
     dQ, dK, dV = np.zeros_like(Qs), np.zeros_like(K), np.zeros_like(g)
-    size = _tile_size(blocks, _tile_rows, _KEY_TILE)
+    size, rows = _tile_size(blocks, _KEY_TILE), _tile_size(blocks, 1)
     p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
-    rows = max((min(_tile_rows(b.k1 - b.k0), b.q1 - b.q0) for b in blocks), default=0)
     qt_buf, gt_buf = np.empty((Qx.shape[1], rows), dtype=dt), np.empty((gx.shape[1], rows), dtype=dt)
     tile = None
     for blk in blocks:
@@ -386,7 +384,11 @@ def _attend(Q, K, V, scale, level_term=None):
     reused logits buffer, each filled by :func:`_cross_logits` against a
     row-major copy of K^T: float32, whose output bits the README loss pins,
     in ``_CROSS_TILE`` rows; every other dtype in the :func:`_tile_rows`
-    rows its backward walks (963 at 34 caption tokens)."""
+    rows its backward walks (963 at 34 caption tokens).  One height for both
+    cost more: float32 in :func:`_tile_rows` rows raised the largest traced
+    forward peak over the benchmark's small layouts from 296-302 to 481-487
+    KiB, and float64 in ``_CROSS_TILE`` rows slowed ``loss_and_gradients``
+    by 7% at n=1872 and 5% at n=7488 (1 thread, Xeon, OpenBLAS 0.3.31)."""
     n, L = Q.shape[0], K.shape[0]
     dt = np.result_type(Q, K) if level_term is None else np.result_type(Q, K, level_term[0])
     tile, term = (_CROSS_TILE if dt == np.float32 else _tile_rows(L)), None
@@ -420,29 +422,30 @@ def _cross_head(qc, kc, vc, plan):
 def _cross_logits(logits, Q, KT, rows, level_term, term, scale):
     """(Q[rows] K^T [+ level term]) * scale, the logits of a tile of both
     cross-attention walks, into ``logits``, with ``KT`` = K^T row-major.
-    ``level_term=(table, index, first)`` adds ``table[index[i]]``, the
-    relational levels * s * r stored once per distinct row, to every query
-    row ``i >= first``, gathered through the front rows of ``term``; earlier
-    rows have all-zero levels."""
+    ``level_term=(table, index, first)`` adds ``table[index[i - first]]``,
+    the relational levels * s * r stored once per distinct row, to every
+    query row ``i >= first``, gathered through the front rows of ``term``;
+    earlier rows have all-zero levels."""
     np.matmul(Q[rows], KT, out=logits)
     if level_term is not None:
         table, index, first = level_term
         lo = max(rows.start, first)
         if lo < rows.stop:
             t = term[: rows.stop - lo]
-            np.take(table, index[lo : rows.stop], axis=0, out=t, mode="clip")
+            np.take(table, index[lo - first : rows.stop - first], axis=0, out=t, mode="clip")
             logits[lo - rows.start :] += t
     logits *= logits.dtype.type(scale)
     return logits
 
 
 def _level_term(qc, kc, plan):
-    """A head's pooled queries (``qc``'s means over the d x d patches of
-    ``plan``), ``sim`` = pooled kc^T and the level term :func:`_cross_logits`
-    reads: the table levels * |sim| * r by patch, each token's patch, and
-    the first row it reaches (``plan.first``)."""
+    """A head's pooled queries (the means over the d x d patches of ``plan``
+    of the rows the term reaches, ``qc``'s from ``plan.first`` on, so none
+    if it reaches none), ``sim`` = pooled kc^T and the level term
+    :func:`_cross_logits` reads: the table levels * |sim| * r by patch, each
+    reached row's patch, and the first row (``plan.first``)."""
     cells, row_patch, levels = plan.patches
-    pooled = _patch_sum(qc, plan.spec, plan.d) / cells
+    pooled = _patch_sum(qc[plan.first :], plan.spec, plan.d) / cells
     sim = pooled @ kc.T.copy()
     table = np.abs(sim)
     table *= table.dtype.type(plan.r)
@@ -479,7 +482,6 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
     p_buf, ds_buf = (np.empty((min(tile, n), L), dtype=qc.dtype) for _ in range(2))
     for rows, _ in _tiles(0, n, 0, L, tile, L):
         m, lo = rows.stop - rows.start, max(rows.start, first)
-        patch = row_patch[lo : rows.stop]  # of the tile's condition rows
         P, dS = p_buf[:m], ds_buf[:m]
         _cross_logits(P, qc, kcT, rows, level_term, dS, scale)  # dS serves as the gather's scratch
         P -= lse[rows, None]
@@ -493,25 +495,26 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
         dS *= P
         np.matmul(dS, kc, out=gqc[rows])
         gkc += (qc[rows].T @ dS).T
-        if len(patch):
+        if lo < rows.stop:  # the tile reaches the term's rows
+            patch = row_patch[lo - first : rows.stop - first]
             W = p_buf[: len(patch)]
             np.take(slope, patch, axis=0, out=W, mode="clip")
             W *= dS[lo - rows.start :]
             gkc += (pooled[patch].T @ W).T
             np.matmul(W, kc, out=qc[lo : rows.stop])
     del level_term, slope
-    qc[:first] = 0.0  # the rows before first have no level term
-    gqc += (_patch_sum(qc, plan.spec, plan.d) / cells)[row_patch]
+    gqc[first:] += (_patch_sum(qc[first:], plan.spec, plan.d) / cells)[row_patch]
     gqc *= scale
     gkc *= scale
     return gco, gqc, gkc, gvc
 
 
 def _patch_sum(x: np.ndarray, spec: LayoutSpec, d: int) -> np.ndarray:
-    """Sum of the rows of ``x`` over each d x d patch of every frame, as a
-    (frames * patches, channels) array in frame-major, row-major patch order.
-    A column of ones sums to the token count of each patch."""
-    grid = x.reshape(spec.T + spec.n_entities, spec.H, spec.W, x.shape[1])
+    """Sum of the rows of ``x``, whole frames of ``spec``, over each d x d
+    patch of every frame, as a (frames * patches, channels) array in
+    frame-major, row-major patch order.  A column of ones sums to the token
+    count of each patch."""
+    grid = x.reshape(len(x) // spec.hw, spec.H, spec.W, x.shape[1])
     sums = np.add.reduceat(grid, np.arange(0, spec.H, d), axis=1)
     sums = np.add.reduceat(sums, np.arange(0, spec.W, d), axis=2)
     return sums.reshape(-1, x.shape[1])
@@ -533,17 +536,18 @@ class _Plan(NamedTuple):
 
 def _layout_plan(spec: LayoutSpec, cfg: AttnConfig, blocks, rot, entity_levels) -> _Plan:
     """The plan of ``spec`` with the cover ``blocks`` and the rotary table
-    ``rot`` (cos, sin), whose dtype the level term's patches share: the token
-    count of each d x d patch in :func:`_patch_sum` order, each token's patch
-    as a row index into it, and each patch's row of ``entity_levels``.  The
-    term reaches no row at r=0 or with all-zero levels, as it adds zeros."""
+    ``rot`` (cos, sin), whose dtype the level term's patches share.  The
+    term reaches the rows [first, n): the condition rows, and none at r=0 or
+    with all-zero levels, as it adds zeros there.  Over the frames of those
+    rows alone, the plan holds the token count of each d x d patch in
+    :func:`_patch_sum` order, each row's patch as a row index into it, and
+    each patch's row of ``entity_levels``."""
     d = cfg.d
-    cells = _patch_sum(np.ones((spec.n_tokens, 1), rot[0].dtype), spec, d)
-    per_row, frames = -(-spec.W // d), spec.T + spec.n_entities
-    per_frame = len(cells) // frames
-    in_frame = ((np.arange(spec.H) // d)[:, None] * per_row + np.arange(spec.W) // d).ravel()
-    row_patch = (np.arange(frames)[:, None] * per_frame + in_frame).ravel()
-    levels = np.zeros((len(cells), spec.text_len), dtype=np.int8)  # all zero in the video frames
-    levels[spec.T * per_frame :] = np.repeat(entity_levels, per_frame, axis=0)
     first = spec.n_video_tokens if cfg.r and entity_levels.any() else spec.n_tokens
+    cells = _patch_sum(np.ones((spec.n_tokens - first, 1), rot[0].dtype), spec, d)
+    per_row = -(-spec.W // d)
+    per_frame = -(-spec.H // d) * per_row
+    in_frame = ((np.arange(spec.H) // d)[:, None] * per_row + np.arange(spec.W) // d).ravel()
+    row_patch = (np.arange(0, len(cells), per_frame)[:, None] + in_frame).ravel()
+    levels = np.repeat(entity_levels[first // spec.hw - spec.T :], per_frame, axis=0)  # the frames from first
     return _Plan(spec, d, cfg.r, blocks, rot, (cells, row_patch, levels), first)

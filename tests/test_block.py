@@ -551,16 +551,16 @@ def test_overflowing_forward_is_rejected(setup, forward):
     [
         (make_spec(1, 1, 43, objs=2), (True, False)),
         (make_spec(1, 1, 257, bg=1), (False, True)),
-        (make_spec(1, 1, 257, text_len=4), (True, True)),
+        (make_spec(1, 1, 641, text_len=4), (True, True)),
     ],
 )
 def test_float32_forward_with_one_row_tiles_matches_float64(spec, tiles):
     # a walk's last tile holds one row: the float32 cross-attention's when
     # n = 1 mod _CROSS_TILE, and the self-attention's over a block of
-    # 1 mod _SELF_TILE rows
+    # 1 mod _tile_rows(block width) rows
     cross = spec.text_len > 0 and spec.n_tokens % attention._CROSS_TILE == 1
-    heights = {b.q1 - b.q0 for b in build_csam(spec).blocks}
-    assert (cross, any(m % attention._SELF_TILE == 1 for m in heights)) == tiles
+    ends = {(b.q1 - b.q0) % attention._tile_rows(b.k1 - b.k0) for b in build_csam(spec).blocks}
+    assert (cross, 1 in ends) == tiles
     rng = np.random.default_rng(19)
     w = init_weights(rng, 16, 12)
     x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from relattn import attention, block
 from relattn.attention import AttnConfig
-from relattn.block import block_forward, init_weights, loss_and_gradients
+from relattn.block import block_forward, init_weights, loss_and_gradients, plain_block_forward
 from relattn.corpus import corpus_layout, make_spec
 from relattn.masks import Block, CsamMask, McamMask, build_csam, build_mcam
 from relattn.reference import compute_scaling_s, relational_cross_attention
@@ -83,6 +83,38 @@ def test_build_mcam_keeps_entity_rows_only():
     assert mcam._levels is None
     levels = mcam.levels
     assert levels is mcam.levels and levels.shape == (spec.n_tokens, spec.text_len)
+
+
+@pytest.mark.parametrize(
+    "spec, r, entry",
+    [
+        (corpus_layout("showcase"), 0.0, block_forward),
+        (corpus_layout("showcase"), 0.5, plain_block_forward),
+        (corpus_layout("showcase"), 0.0, loss_and_gradients),
+        (make_spec(1, 2, 3, bg=1, objs=1, no_spans=True, text_len=5), 0.5, loss_and_gradients),
+    ],
+    ids=["r=0", "plain", "r=0-backward", "zero-levels-backward"],
+)
+def test_a_level_term_that_reaches_no_row_pools_no_row(spec, r, entry):
+    # the term covers the rows [plan.first, n) alone: at r=0, in the plain
+    # block and with an all-zero MCAM it reaches none, so no head pools a
+    # query row or scores a patch, in the forward or the backward
+    assert spec.text_len and (r == 0 or entry is plain_block_forward or not build_mcam(spec).entity_levels.any())
+    weights, x, text = _problem(spec, 5, np.float64)
+    level_term, terms = attention._level_term, []
+
+    def recording(qc, kc, plan):
+        out = level_term(qc, kc, plan)
+        terms.append(out)
+        return out
+
+    args = (weights, x, text, spec, AttnConfig(r=r))
+    with mock.patch.object(attention, "_level_term", recording):
+        entry(*args, np.zeros_like(x)) if entry is loss_and_gradients else entry(*args)
+    assert len(terms) == weights.n_heads * (2 if entry is loss_and_gradients else 1)
+    for pooled, sim, (table, row_patch, first) in terms:
+        assert first == spec.n_tokens
+        assert pooled.shape[0] == sim.shape[0] == table.shape[0] == row_patch.size == 0
 
 
 SHOWCASE = corpus_layout("showcase")

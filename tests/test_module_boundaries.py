@@ -8,6 +8,9 @@ stay in ``relattn.attention``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,8 +74,16 @@ def test_production_modules_do_not_depend_on_the_reference(module):
 def test_moved_functions_are_exported_from_the_reference():
     for name in MOVED:
         assert getattr(reference, name).__module__ == "relattn.reference"
-    for name in set(MOVED) & set(relattn.__all__):
-        assert getattr(relattn, name) is getattr(reference, name)
+        assert name not in relattn.__all__ and not hasattr(relattn, name)
+    assert len(relattn.__all__) == 27
+
+
+def test_importing_the_package_leaves_the_reference_unloaded():
+    code = "import sys, relattn\nprint(sorted(m for m in sys.modules if m.startswith('relattn.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "relattn.reference" not in run.stdout
+    assert "relattn.block" in run.stdout
 
 
 def test_deleted_names_are_gone():

@@ -93,7 +93,7 @@ def test_overlap_detection_matches_pairwise_scan(raw):
 @pytest.fixture(scope="module")
 def bench():
     spec = bench_layout()
-    assert spec.n_tokens > 4 * attention._SELF_TILE
+    assert spec.n_tokens > 4 * attention._tile_size(build_csam(spec).blocks, 1)  # the tallest tile's rows
     assert spec.n_tokens > 4 * attention._CROSS_TILE
     n, L = spec.n_tokens, spec.text_len
     return spec, rnd((n, 8), 11), rnd((n, 8), 12), rnd((n, 8), 13), rnd((L, 8), 14), rnd((L, 8), 15)
@@ -108,11 +108,12 @@ def test_blockwise_matches_naive_across_tiles(bench):
 
 
 def test_blockwise_matches_naive_with_one_row_tiles():
-    # both blocks are _SELF_TILE + 1 rows tall, so each float32 block walk
-    # ends in a tile of one row
+    # the video block is 257 rows tall and 514 keys wide, 4 tiles of
+    # _tile_rows(514) = 64 rows and one more row, so its float32 walk ends
+    # in a tile of one row
     spec = make_spec(1, 1, 257, bg=1)
     csam = build_csam(spec)
-    assert {b.q1 - b.q0 for b in csam.blocks} == {attention._SELF_TILE + 1}
+    assert 1 in {(b.q1 - b.q0) % attention._tile_rows(b.k1 - b.k0) for b in csam.blocks}
     Q, K, V = (rnd((spec.n_tokens, 8), seed) for seed in (41, 42, 43))
     ref = masked_self_attention_naive(Q, K, V, csam)
     np.testing.assert_allclose(masked_self_attention_blockwise(Q, K, V, csam.blocks), ref, rtol=0, atol=1e-5)
@@ -193,9 +194,11 @@ def test_block_forward_holds_one_head_at_a_time(traced_peak_mib):
     # normalizer per row, peaked at 0.34 MiB at n=624 and 9.58 MiB at
     # n=7488; one that drops the input once the last head is projected,
     # starts the sum from the first head's projection and writes each
-    # head's output over its queries at 0.28 and 8.84
+    # head's output over its queries at 0.28 and 8.84, and 2.24 at n=1872;
+    # one whose float32 self-attention tiles take _tile_rows rows instead of
+    # 256 peaks at 0.28, 0.87 and 3.35
     small = make_spec(1, 6, 8, bg=1, objs=3, groups=(2, 2, 1))
-    for spec, bound in ((small, 0.30), (ROADMAP_LAYOUT, 9.2)):
+    for spec, bound in ((small, 0.30), (bench_layout(), 1.0), (ROADMAP_LAYOUT, 4.0)):
         rng = np.random.default_rng(0)
         weights = init_weights(rng, 16, 12)
         x = rng.standard_normal((spec.n_tokens, 16)).astype(np.float32)
@@ -213,8 +216,7 @@ def test_blockwise_tiles_are_no_taller_than_their_blocks(traced_peak_mib, dtype)
     n = 1024
     cover = _short_wide_cover(n, 6)
     Q, K, V = (rnd((n, 2), seed, dtype) for seed in (21, 22, 23))
-    tile = attention._SELF_TILE if dtype == np.float32 else attention._BWD_TILE
-    full_tile_mib = tile * n * np.dtype(dtype).itemsize / 2**20
+    full_tile_mib = attention._tile_rows(n) * n * np.dtype(dtype).itemsize / 2**20
     assert traced_peak_mib(masked_self_attention_blockwise, Q, K, V, cover) < full_tile_mib
 
 

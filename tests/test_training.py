@@ -109,9 +109,9 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     scale = 0.7
     want = masked_attention_grads_oracle(Q, K, V, bits, g, scale)
     _, want_out, want_lse = _dense_forward(Q, K, V, bits, scale)
-    with mock.patch.object(attention, "_SELF_TILE", tile), mock.patch.object(
-        attention, "_tile_rows", lambda width: tile
-    ), mock.patch.object(attention, "_KEY_TILE", keys):
+    with mock.patch.object(attention, "_tile_rows", lambda width: tile), mock.patch.object(
+        attention, "_KEY_TILE", keys
+    ):
         for order in (blocks, blocks[::-1]):
             out, lse = _blockwise([Q, K, V], order, scale)
             np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
