@@ -2,8 +2,8 @@
 masked self-attention streamed over a block cover (:func:`_blockwise`,
 :func:`_self_head_bwd`), and relational cross-attention (:func:`_cross_head`,
 :func:`_cross_head_bwd`), whose level term (:func:`_level_term`) and tile
-logits (:func:`_cross_logits`) serve both directions.  The block passes
-none of them a scale: each takes 1/sqrt(head width) from its keys' width.
+logits (:func:`_cross_logits`) serve both directions.  No kernel takes a
+scale: each works out 1/sqrt(d_K) from its own keys' width d_K.
 Each backward recomputes its weights tile by tile instead of keeping them:
 the cross-attention's by its forward's own code, the self-attention's from
 its row log-sum-exp over the tiles of the three-pass forward, each filled
@@ -91,7 +91,7 @@ class AttnConfig:
     d: int = 8
 
     def __post_init__(self):
-        if isinstance(self.r, bool):  # a number to math.isfinite, as 1 or 0
+        if isinstance(self.r, (bool, np.bool_)):  # a number to math.isfinite, as 1 or 0
             raise ValueError(f"r must be a number, not a bool, got {self.r}")
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
@@ -171,7 +171,7 @@ def masked_self_attention_blockwise(Q, K, V, blocks: Sequence[Block]):
     return _finite_output(_blockwise(qkv, blocks)[0])
 
 
-def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
+def _blockwise(qkv: list, blocks: Sequence[Block]):
     """:func:`masked_self_attention_blockwise` and each query row's log-sum-exp
     of its scaled logits, from which :func:`_folded_bwd` recomputes weights,
     for ``qkv`` = [Q, K, V], which it empties: float32's row-major K^T then
@@ -194,17 +194,17 @@ def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
     logits and the row sum into the output, so nothing is rescaled along
     the way, however a row's keys are split.  Last, one division by the
     row sums.  Its arrays come unchecked, as the block builds them, and
-    the float32 route writes its output over ``Q``.  ``scale``, which the
-    block never sets, defaults to 1/sqrt(K's width).
+    the float32 route writes its output over ``Q``.  ``scale`` is 1/sqrt(K's
+    width), as in every kernel here.
     """
     Q, K, V = qkv
     qkv.clear()
-    n, scale = Q.shape[0], _default_scale(K.shape[1]) if scale is None else scale
+    n, scale = Q.shape[0], _default_scale(K.shape[1])
     dt = np.result_type(Q, K, V)
     if dt == np.float32 and sum(b.q1 - b.q0 for b in blocks) == n:
         KT = K.T.copy()
         del K
-        return _one_pass(Q, KT, V, blocks, scale)
+        return _one_pass(Q, KT, V, blocks)
 
     Q, K, V = Q.astype(dt, copy=False), K.astype(dt, copy=False), V.astype(dt, copy=False)
     buf = np.empty(_tile_size(blocks, _KEY_TILE), dtype=dt)
@@ -244,7 +244,7 @@ def _blockwise(qkv: list, blocks: Sequence[Block], scale: float | None = None):
     return acc[:, :-1] / acc[:, -1:], c + np.log(acc[:, -1])
 
 
-def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
+def _one_pass(Q, KT, V, blocks: Sequence[Block]):
     """:func:`_blockwise` for float32 over a cover that visits each query row
     once, from ``KT`` = K^T row-major, in tiles of :func:`_tile_rows` rows x
     a whole block: a tile holds all of its rows' logits, so each row takes its
@@ -252,7 +252,7 @@ def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
     ``Q`` its first GEMM has just read (into a new array when V is wider or
     narrower than Q)."""
     n, keys, dt = Q.shape[0], KT.shape[1], Q.dtype
-    sc = dt.type(scale)
+    sc = dt.type(_default_scale(KT.shape[0]))
     out = Q if Q.shape[1] == V.shape[1] else np.empty((n, V.shape[1]), dtype=dt)
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
     buf = np.empty(_tile_size(blocks, keys), dtype=dt)
@@ -276,8 +276,8 @@ def _one_pass(Q, KT, V, blocks: Sequence[Block], scale: float):
 
 def _tile_size(blocks: Sequence[Block], cols: int) -> int:
     """Elements of the largest tile a walk of ``blocks`` in tiles of at most
-    :func:`_tile_rows` queries x ``cols`` keys fills (with ``cols`` = 1, the
-    rows of its tallest tile): no tile outgrows its block."""
+    :func:`_tile_rows` queries x ``cols`` keys fills: no tile outgrows its
+    block."""
     return max((min(_tile_rows(b.k1 - b.k0), b.q1 - b.q0) * min(cols, b.k1 - b.k0) for b in blocks), default=0)
 
 
@@ -317,7 +317,7 @@ def _folded(Qs, K, V, shift):
     return np.hstack([Qs, -shift[:, None]]), np.hstack([K, ones]), np.hstack([V, ones])
 
 
-def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
+def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block]):
     """Gradients (dQ, dK, dV) of :func:`_blockwise` from its folded operands
     ``Qx = [Q scale, -lse]``, ``Kx = [K, 1]``, ``Vx = [V, 1]`` and
     ``gx = [g, -D]``, for ``g`` at its output and D = rowsum(g * out).
@@ -325,26 +325,22 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
     The FlashAttention backward: walks the same cover in the forward's
     2-D tiles and recomputes each tile's weights P = exp(Q K^T scale - lse)
     instead of keeping them; the gradient of Q K^T is P * (g V^T - D) *
-    scale, and both subtractions ride in the GEMMs.  ``scale`` rides on Q
-    into dK, and dQ takes it once at the end.  Each tile is filled key-major,
+    scale, and both subtractions ride in the GEMMs.  ``scale``, 1/sqrt(K's
+    width), rides on Q into dK, and dQ takes it once at the end.  Each tile is filled key-major,
     P^T = Kx Qx^T and dS^T = Vx gx^T, so that dV += P^T g, dK += dS^T Qs and
     dQ += (dS^T)^T K read row-major right operands, as the two fills do:
-    each query tile copies Qx^T and gx^T once into two scratch buffers,
-    which its key chunks share.  P^T and dS^T live in two buffers, each the
-    size of the cover's largest tile, reused by every tile."""
-    dt = Qx.dtype
+    each query tile copies Qx^T and gx^T once, and its key chunks share the
+    copies.  P^T and dS^T live in two buffers, each the size of the cover's
+    largest tile, reused by every tile."""
     Qs, K, g = Qx[:, :-1], Kx[:, :-1], gx[:, :-1]
     dQ, dK, dV = np.zeros_like(Qs), np.zeros_like(K), np.zeros_like(g)
-    size, rows = _tile_size(blocks, _KEY_TILE), _tile_size(blocks, 1)
-    p_buf, ds_buf = np.empty(size, dtype=dt), np.empty(size, dtype=dt)
-    qt_buf, gt_buf = np.empty((Qx.shape[1], rows), dtype=dt), np.empty((gx.shape[1], rows), dtype=dt)
+    p_buf, ds_buf = (np.empty(_tile_size(blocks, _KEY_TILE), dtype=Qx.dtype) for _ in range(2))
     tile = None
     for blk in blocks:
         for qs, ks in _tiles(blk.q0, blk.q1, blk.k0, blk.k1, _tile_rows(blk.k1 - blk.k0), _KEY_TILE):
             if qs != tile:  # key chunks are innermost: a new query tile
                 tile = qs
-                QxT, gxT = qt_buf[:, : qs.stop - qs.start], gt_buf[:, : qs.stop - qs.start]
-                QxT[...], gxT[...] = Qx[qs].T, gx[qs].T
+                QxT, gxT = Qx[qs].T.copy(), gx[qs].T.copy()
             Pt, dSt = _view(p_buf, ks, qs), _view(ds_buf, ks, qs)
             np.matmul(Kx[ks], QxT, out=Pt)
             np.exp(Pt, out=Pt)
@@ -353,7 +349,7 @@ def _folded_bwd(Qx, Kx, Vx, gx, blocks: Sequence[Block], scale: float):
             dSt *= Pt
             dK[ks] += dSt @ Qs[qs]
             dQ[qs] += dSt.T @ K[ks]
-    dQ *= scale
+    dQ *= _default_scale(K.shape[1])
     return dQ, dK, dV
 
 
@@ -369,38 +365,38 @@ def _self_head_bwd(head: list, blocks: Sequence[Block]):
     reads it and the tile walk holds only the folded operands."""
     q, k, v, a, lse, ga = head
     head.clear()
-    scale = _default_scale(k.shape[1])
-    Qx, Kx, Vx = _folded(q * scale, k, v, lse)
+    Qx, Kx, Vx = _folded(q * _default_scale(k.shape[1]), k, v, lse)
     del q, k, v, lse
     Gx = np.hstack([ga, -np.einsum("ij,ij->i", ga, a)[:, None]])
     del a, ga
-    return _folded_bwd(Qx, Kx, Vx, Gx, blocks, scale)
+    return _folded_bwd(Qx, Kx, Vx, Gx, blocks)
 
 
-def _attend(Q, K, V, scale, level_term=None):
-    """softmax((Q K^T [+ level term]) * scale) V with row-max stabilization,
+def _attend(Q, K, V, level_term):
+    """softmax((Q K^T + level term) * scale) V with row-max stabilization,
     and each query row's log-sum-exp of its scaled logits, from which
-    :func:`_cross_head_bwd` recomputes the weights.  Walks tiles through one
-    reused logits buffer, each filled by :func:`_cross_logits` against a
-    row-major copy of K^T: float32, whose output bits the README loss pins,
-    in ``_CROSS_TILE`` rows; every other dtype in the :func:`_tile_rows`
-    rows its backward walks (963 at 34 caption tokens).  One height for both
-    cost more: float32 in :func:`_tile_rows` rows raised the largest traced
-    forward peak over the benchmark's small layouts from 296-302 to 481-487
-    KiB, and float64 in ``_CROSS_TILE`` rows slowed ``loss_and_gradients``
-    by 7% at n=1872 and 5% at n=7488 (1 thread, Xeon, OpenBLAS 0.3.31)."""
+    :func:`_cross_head_bwd` recomputes the weights; the r=0 plan and
+    ``standard_attention`` pass the term that reaches no row (no table
+    rows, ``first`` = n).  Walks tiles through one reused logits buffer,
+    each filled by :func:`_cross_logits` against a row-major copy of K^T:
+    float32, whose output bits the README loss pins, in ``_CROSS_TILE``
+    rows; every other dtype in the :func:`_tile_rows` rows its backward
+    walks (963 at 34 caption tokens).  One height for both cost more:
+    float32 in :func:`_tile_rows` rows raised the largest traced forward
+    peak over the benchmark's small layouts from 296-302 to 481-487 KiB,
+    and float64 in ``_CROSS_TILE`` rows slowed ``loss_and_gradients`` by 7%
+    at n=1872 and 5% at n=7488 (1 thread, Xeon, OpenBLAS 0.3.31)."""
     n, L = Q.shape[0], K.shape[0]
-    dt = np.result_type(Q, K) if level_term is None else np.result_type(Q, K, level_term[0])
-    tile, term = (_CROSS_TILE if dt == np.float32 else _tile_rows(L)), None
+    table, _, first = level_term
+    dt = np.result_type(Q, K, table)
+    tile = _CROSS_TILE if dt == np.float32 else _tile_rows(L)
     KT = K.T.copy()
-    if level_term is not None:
-        table, _, first = level_term
-        term = np.empty((min(tile, n - first), L), dtype=table.dtype)  # rows >= first only
+    term = np.empty((min(tile, n - first), L), dtype=table.dtype)  # rows >= first only
     out = np.empty((n, V.shape[1]), dtype=np.result_type(dt, V))
     peak, total = np.empty(n, dtype=dt), np.empty(n, dtype=dt)
     buf = np.empty((min(tile, n), L), dtype=dt)
     for rows, _ in _tiles(0, n, 0, L, tile, L):
-        logits = _cross_logits(buf[: rows.stop - rows.start], Q, KT, rows, level_term, term, scale)
+        logits = _cross_logits(buf[: rows.stop - rows.start], Q, KT, rows, level_term, term)
         row_max = logits.max(axis=1, keepdims=True)
         logits -= row_max
         np.exp(logits, out=logits)
@@ -416,25 +412,24 @@ def _attend(Q, K, V, scale, level_term=None):
 def _cross_head(qc, kc, vc, plan):
     """One cross-attention head: :func:`_attend` with the level term of
     ``plan``, its output and row log-sum-exp."""
-    return _attend(qc, kc, vc, _default_scale(kc.shape[1]), _level_term(qc, kc, plan)[2])
+    return _attend(qc, kc, vc, _level_term(qc, kc, plan)[2])
 
 
-def _cross_logits(logits, Q, KT, rows, level_term, term, scale):
-    """(Q[rows] K^T [+ level term]) * scale, the logits of a tile of both
+def _cross_logits(logits, Q, KT, rows, level_term, term):
+    """(Q[rows] K^T + level term) * scale, the logits of a tile of both
     cross-attention walks, into ``logits``, with ``KT`` = K^T row-major.
     ``level_term=(table, index, first)`` adds ``table[index[i - first]]``,
     the relational levels * s * r stored once per distinct row, to every
     query row ``i >= first``, gathered through the front rows of ``term``;
     earlier rows have all-zero levels."""
     np.matmul(Q[rows], KT, out=logits)
-    if level_term is not None:
-        table, index, first = level_term
-        lo = max(rows.start, first)
-        if lo < rows.stop:
-            t = term[: rows.stop - lo]
-            np.take(table, index[lo - first : rows.stop - first], axis=0, out=t, mode="clip")
-            logits[lo - rows.start :] += t
-    logits *= logits.dtype.type(scale)
+    table, index, first = level_term
+    lo = max(rows.start, first)
+    if lo < rows.stop:
+        t = term[: rows.stop - lo]
+        np.take(table, index[lo - first : rows.stop - first], axis=0, out=t, mode="clip")
+        logits[lo - rows.start :] += t
+    logits *= logits.dtype.type(_default_scale(KT.shape[0]))
     return logits
 
 
@@ -483,7 +478,7 @@ def _cross_head_bwd(qc, kc, vc, lse, co, gx, plan):
     for rows, _ in _tiles(0, n, 0, L, tile, L):
         m, lo = rows.stop - rows.start, max(rows.start, first)
         P, dS = p_buf[:m], ds_buf[:m]
-        _cross_logits(P, qc, kcT, rows, level_term, dS, scale)  # dS serves as the gather's scratch
+        _cross_logits(P, qc, kcT, rows, level_term, dS)  # dS serves as the gather's scratch
         P -= lse[rows, None]
         np.exp(P, out=P)
         a = P @ vc

@@ -267,7 +267,7 @@ def _prepare(weights, z_tokens, text, spec, cfg, csam=None, mcam=None, dtype=Non
         raise ValueError(f"text must have {spec.text_len} rows, got {text.shape}")
     if text.shape[0] and text.shape[1] != weights.ck.shape[1]:
         raise ValueError(f"text must have {weights.ck.shape[1]} channels, got {text.shape[1]}")
-    w = weights if weights.wq.dtype == x.dtype else weights.astype(x.dtype)
+    w = weights if all(a.dtype == x.dtype for a in weights.arrays().values()) else weights.astype(x.dtype)
     rot = rotary_table(position_array(spec), w.head_dim, x.dtype)
     return w, x, text, _layout_plan(spec, cfg, own_csam.blocks, rot, own_mcam.entity_levels)
 

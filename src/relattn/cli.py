@@ -2,10 +2,10 @@
 micro-benchmark the kernels, and run one seeded block forward.
 
 Exit code is 0 iff every check passed, 1 if a check failed, and 2 if the
-arguments or the layout file are refused, with one ``relctl`` line on
-stderr.  Timing goes to stderr for ``masks`` and ``forward`` so their stdout
-and file outputs stay byte-stable; ``check`` and ``bench`` print timings as
-part of their results.
+arguments, the layout file or a ``forward`` config whose products overflow
+are refused, with one ``relctl`` line on stderr.  Timing goes to stderr for
+``masks`` and ``forward`` so their stdout and file outputs stay byte-stable;
+``check`` and ``bench`` print timings as part of their results.
 """
 
 from __future__ import annotations
@@ -202,13 +202,13 @@ def cmd_forward(args) -> RunReport:
     cfg = AttnConfig(r=args.r, d=args.d)
     rng = np.random.default_rng(args.seed)
     weights, text, t, z_t, v_t = _toy_problem(spec, rng, np.float32)
-
-    pred = block_forward(weights, z_t, text, spec, cfg)
-    loss = fm_loss(pred, v_t)
-
     bumped = z_t.copy()
     bumped[: spec.n_video_tokens] += rng.standard_normal((spec.n_video_tokens, weights.channels)).astype(np.float32)
-    alt = block_forward(weights, bumped, text, spec, cfg)
+    # an overflow is refused by block_forward's output check, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = block_forward(weights, z_t, text, spec, cfg)
+        alt = block_forward(weights, bumped, text, spec, cfg)
+    loss = fm_loss(pred, v_t)
     cond = slice(spec.n_video_tokens, spec.n_tokens)
     cond_resid = float(np.max(np.abs(alt[cond] - pred[cond]))) if spec.n_entities else 0.0
     video_shift = float(np.max(np.abs(alt[: spec.n_video_tokens] - pred[: spec.n_video_tokens])))
@@ -309,7 +309,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"relctl {args.command}: {error}", file=sys.stderr)
         return 2
     report_path = _report_path(args.json_path) if args.json_path else None
-    report: RunReport = args.fn(args)
+    try:
+        report: RunReport = args.fn(args)
+    except ValueError as exc:  # inputs the kernels refuse, as a --r whose products overflow
+        print(f"relctl {args.command}: {exc}", file=sys.stderr)
+        return 2
     if report_path:
         # timing is a measurement, not a deterministic artifact: only the
         # bench/check reports carry it

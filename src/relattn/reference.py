@@ -25,18 +25,18 @@ def standard_attention(Q, K, V, *, return_weights: bool = False):
         raise ValueError(f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if K.shape[0] == 0:
         raise ValueError("attention requires at least one key")
-    scale = _default_scale(K.shape[1])
-    out = _finite_output(_attend(Q, K, V, scale)[0])
-    return (out, _weights(Q, K, scale)) if return_weights else out
+    empty = (np.empty((0, K.shape[0]), np.result_type(Q, K)), np.empty(0, np.intp), len(Q))
+    out = _finite_output(_attend(Q, K, V, empty)[0])
+    return (out, _weights(Q, K)) if return_weights else out
 
 
-def _weights(Q, K, scale: float, additive=None) -> np.ndarray:
-    """Dense softmax weights of ``(Q K^T [+ additive]) * scale``, stabilized
-    and normalized per row as the streaming cross-attention kernel does."""
+def _weights(Q, K, additive=None) -> np.ndarray:
+    """Dense softmax weights of ``(Q K^T [+ additive]) / sqrt(K's width)``,
+    stabilized and normalized per row as the streaming kernel does."""
     logits = Q @ K.T
     if additive is not None:
         logits = logits + additive
-    logits *= logits.dtype.type(scale)
+    logits *= logits.dtype.type(_default_scale(K.shape[1]))
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
@@ -46,9 +46,9 @@ def _weights(Q, K, scale: float, additive=None) -> np.ndarray:
 def masked_self_attention_naive(Q, K, V, mask: CsamMask, *, return_weights: bool = False):
     """Dense masked self-attention; masked keys get exactly zero weight.
 
-    Masked logits become -inf, and after row-max subtraction the -inf
-    sentinel is clamped to the most-negative finite value so exp underflows
-    to an exact 0 without producing NaN.
+    Masked logits become -inf, which stays -inf after the row-max
+    subtraction (every row has an admissible key, so its max is finite),
+    and exp(-inf) is exactly 0, with no warning.
     """
     Q, K, V = _as_matrix("Q", Q), _as_matrix("K", K), _as_matrix("V", V)
     if not (Q.shape[0] == K.shape[0] == V.shape[0] == mask.n):
@@ -60,11 +60,9 @@ def masked_self_attention_naive(Q, K, V, mask: CsamMask, *, return_weights: bool
     if not mask.bits.any(axis=1).all():
         raise ValueError("mask has a query row with no admissible key")
 
-    scale = _default_scale(K.shape[1])
-    logits = (Q @ K.T) * Q.dtype.type(scale)
+    logits = (Q @ K.T) * Q.dtype.type(_default_scale(K.shape[1]))
     logits = np.where(mask.bits, logits, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)
-    np.maximum(logits, np.finfo(logits.dtype).min, out=logits)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
     out = _finite_output(w @ V)
@@ -119,9 +117,8 @@ def relational_cross_attention(
         raise ValueError("cross-attention requires at least one text token")
 
     table = levels * (s * np.result_type(Q, K, s).type(cfg.r))
-    scale = _default_scale(K.shape[1])
-    out = _finite_output(_attend(Q, K, V, scale, (table, np.arange(len(Q)), 0))[0])
-    return (out, _weights(Q, K, scale, table)) if return_weights else out
+    out = _finite_output(_attend(Q, K, V, (table, np.arange(len(Q)), 0))[0])
+    return (out, _weights(Q, K, table)) if return_weights else out
 
 
 def decompose_blocks(mask: np.ndarray) -> list[Block]:

@@ -181,6 +181,20 @@ def test_blockwise_rejects_overlap_and_gap():
         masked_self_attention_blockwise(Q, K, V, [Block(0, 5, 0, 4)])
 
 
+@pytest.mark.parametrize(
+    "shapes, match",
+    [
+        (((4,), (4, 2)), "Q must be 2-D"),
+        (((4, 2), (3, 2)), "K/V must have 4 rows"),
+        (((4, 2), (4, 3)), "feature dims differ"),
+    ],
+)
+def test_blockwise_rejects_mis_shaped_operands(shapes, match):
+    q_shape, k_shape = shapes
+    with pytest.raises(ValueError, match=match):
+        masked_self_attention_blockwise(rnd(q_shape, 27), rnd(k_shape, 28), rnd((4, 2), 29), [Block(0, 4, 0, 4)])
+
+
 # --- behavioral isolation ----------------------------------------------------
 
 
@@ -355,9 +369,9 @@ def test_attn_config_rejects_a_boolean_d(d):
         AttnConfig(d=d)
 
 
-@pytest.mark.parametrize("r", [True, False])
+@pytest.mark.parametrize("r", [True, False, np.True_])
 def test_attn_config_rejects_a_boolean_r(r):
-    # bool is a number, so r=True would pass as r=1
+    # bool is a number, so r=True would pass as r=1, and so is numpy's bool
     with pytest.raises(ValueError, match="r must be a number, not a bool"):
         AttnConfig(r=r)
 

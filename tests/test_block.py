@@ -172,6 +172,8 @@ def test_forward_validates(setup):
         block_forward(weights, x[:-1], text, spec, AttnConfig())
     with pytest.raises(ValueError):
         block_forward(weights, x, text[:-1], spec, AttnConfig())
+    with pytest.raises(ValueError, match="text must have 8 channels, got 7"):
+        block_forward(weights, x, text[:, :-1], spec, AttnConfig())
 
 
 @pytest.mark.parametrize("forward", [block_forward, plain_block_forward])
@@ -189,6 +191,19 @@ def test_float64_caption_runs_in_the_latents_dtype(setup):
     wide = text.astype(np.float64)
     out = block_forward(weights, x, wide, spec, AttnConfig())
     assert out.tobytes() == block_forward(weights, x, text, spec, AttnConfig()).tobytes()
+
+
+def test_weights_of_mixed_dtypes_run_in_the_latents_dtype(setup):
+    # a float64 w1 beside a float32 wq was left uncast, and the output came
+    # back float64
+    spec, weights, x, text = setup
+    mixed = BlockWeights(**{**weights.arrays(), "w1": weights.w1.astype(np.float64)})
+    out = block_forward(mixed, x, text, spec, AttnConfig())
+    assert out.dtype == np.float32
+    assert out.tobytes() == block_forward(weights, x, text, spec, AttnConfig()).tobytes()
+    narrow = BlockWeights(**{**weights.astype(np.float64).arrays(), "co": weights.co})
+    _, grads, gx, gtext = loss_and_gradients(narrow, x, text, spec, AttnConfig(), np.zeros_like(x))
+    assert {g.dtype for g in (*grads.values(), gx, gtext)} == {np.dtype(np.float64)}
 
 
 # one wrong shape per array, for h=2 heads, C=12 channels, Ct=8 text
@@ -292,9 +307,10 @@ def test_r0_equals_the_block_without_level_term_on_generated_layouts(spec, d):
     text = rng.standard_normal((spec.text_len, 5))
     attend, dropped = attention._attend, []
 
-    def without_level_term(Q, K, V, scale, level_term=None):
+    def without_level_term(Q, K, V, level_term):
         dropped.append(level_term)
-        return attend(Q, K, V, scale)
+        table, index, _ = level_term  # no table rows, reaching no row: standard_attention's term
+        return attend(Q, K, V, (table[:0], index[:0], len(Q)))
 
     for dtype in (np.float32, np.float64):
         w, xd, td = weights.astype(dtype), x.astype(dtype), text.astype(dtype)

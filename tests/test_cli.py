@@ -84,6 +84,18 @@ def test_json_report_without_a_directory_is_refused_before_the_checks(
     assert not target.parent.exists()
 
 
+def test_json_report_that_is_a_directory_is_refused_before_the_forward(
+    tmp_path, showcase_file, capsys, monkeypatch
+):
+    monkeypatch.setattr("relattn.cli.block_forward", lambda *a, **k: pytest.fail("forward ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", str(showcase_file), "--json", str(tmp_path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{exc.value}\n"
+    assert str(exc.value) == f"relctl: cannot write {tmp_path}: it is a directory"
+
+
 def test_check_single_spec(tmp_path, showcase_file, capsys):
     rc = main(["check", str(showcase_file)])
     assert rc == 0
@@ -135,6 +147,7 @@ def test_check_requires_exactly_one_source(capsys):
         (["forward", "--seed", "-1"], "--seed must be >= 0"),
         (["bench", "--head-dim", "0"], "--head-dim must be >= 1"),
         (["bench", "--reps", "-3"], "--reps must be >= 0"),
+        (["forward", "--r", "1e38"], "non-finite output"),
     ],
 )
 def test_bad_arguments_are_refused_in_one_line(showcase_file, capsys, argv, why):

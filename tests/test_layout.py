@@ -79,6 +79,9 @@ def test_syntax_error():
         (lambda d: d["entities"][0].update(kind="person"), "kind"),
         (lambda d: d["entities"][0].update(span=[1]), "span"),
         (lambda d: d.update(entities={}), "$.entities"),
+        (lambda d: d.pop("entities"), "entities"),
+        (lambda d: d["entities"].append(3), "$.entities[3]"),
+        (lambda d: d["entities"][1].update(group="0"), "$.entities[1].group"),
     ],
 )
 def test_schema_violations_name_the_path(mutate, path_frag):
@@ -106,6 +109,26 @@ def test_invariant_violations(mutate):
     mutate(doc)
     with pytest.raises(LayoutInvariantError):
         parse_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize("root", ["[]", "3", '"layout"', "null"])
+def test_a_root_that_is_not_an_object_is_refused(root):
+    with pytest.raises(LayoutSchemaError, match="root must be an object") as exc:
+        parse_spec(root)
+    assert exc.value.path == "$"
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"text_len": -1}, "$.text_len"),
+        ({"entities": (Entity("person"),)}, "$.entities[0].kind"),  # parse_spec stops it earlier
+    ],
+)
+def test_the_constructor_refuses_an_invalid_layout(fields, path):
+    with pytest.raises(LayoutInvariantError) as exc:
+        LayoutSpec(**{"T": 1, "H": 2, "W": 2, **fields})
+    assert exc.value.path == path
 
 
 def test_empty_span_is_allowed_and_never_overlaps():

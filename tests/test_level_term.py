@@ -34,8 +34,8 @@ def _cross_calls(fn, *args):
     calls = []
     attend = attention._attend
 
-    def recording(Q, K, V, scale, level_term):
-        out, lse = attend(Q, K, V, scale, level_term)
+    def recording(Q, K, V, level_term):
+        out, lse = attend(Q, K, V, level_term)
         calls.append((Q, K, V, out))
         return out, lse
 

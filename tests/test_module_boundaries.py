@@ -134,3 +134,22 @@ def test_block_leaves_each_head_s_attention_to_attention():
         "_layout_plan",
         "_self_head_bwd",
     }
+
+
+@pytest.mark.parametrize("module", ["attention", "reference"])
+def test_no_kernel_takes_a_scale(module):
+    # each kernel works out 1/sqrt(d_K) from its own keys' width
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            args = fn.args
+            names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            assert "scale" not in names, fn.name
+
+
+def test_the_cross_attention_kernel_always_takes_a_level_term():
+    # the term that reaches no row, not a None, stands for no term
+    tree = ast.parse((SRC / "attention.py").read_text())
+    (attend,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_attend"]
+    assert attend.args.args[-1].arg == "level_term"
+    assert not attend.args.defaults and not attend.args.kwonlyargs

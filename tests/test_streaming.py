@@ -230,15 +230,15 @@ def test_blockwise_backward_tiles_are_no_taller_than_their_blocks(traced_peak_mi
     cover = _short_wide_cover(n, 6)
     cut = [Block(b.q0, b.q1, k, k + chunk) for b in cover for k in range(0, n, chunk)]
     Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (24, 25, 26, 27))
-    out, lse = attention._blockwise([Q, K, V], cover, 0.5)
+    out, lse = attention._blockwise([Q * np.sqrt(0.5), K, V], cover)  # Q K^T * 0.5
     # the operands folded as the training backward folds them
     gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
     folded = (*attention._folded(Q * 0.5, K, V, lse), gx)
     # numpy keeps a few hundred bytes of caches from a first call, which
     # would tip the comparison by whichever side ran first
-    attention._folded_bwd(*folded, cover, 0.5)
-    peak = traced_peak_mib(attention._folded_bwd, *folded, cover, 0.5)
-    assert peak <= traced_peak_mib(attention._folded_bwd, *folded, cut, 0.5)
+    attention._folded_bwd(*folded, cover)
+    peak = traced_peak_mib(attention._folded_bwd, *folded, cover)
+    assert peak <= traced_peak_mib(attention._folded_bwd, *folded, cut)
     assert peak < attention._BWD_TILE * chunk * 8 / 2**20
 
 
@@ -251,8 +251,8 @@ def test_blockwise_backward_tiles_of_narrow_blocks_stay_within_the_budget(traced
     assert attention._tile_rows(width) >= n > 16 * attention._BWD_TILE
     cover = [Block(0, n, k, k + width) for k in range(0, 8 * width, width)]
     Q, K, V, g = (rnd((n, 2), seed, np.float64) for seed in (28, 29, 30, 31))
-    out, lse = attention._blockwise([Q, K, V], cover, 0.5)
+    out, lse = attention._blockwise([Q * np.sqrt(0.5), K, V], cover)  # Q K^T * 0.5
     gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
     folded = (*attention._folded(Q * 0.5, K, V, lse), gx)
-    peak = traced_peak_mib(attention._folded_bwd, *folded, cover, 0.5)
+    peak = traced_peak_mib(attention._folded_bwd, *folded, cover)
     assert peak < 2 * attention._BWD_TILE * attention._KEY_TILE * 8 / 2**20

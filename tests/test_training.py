@@ -65,7 +65,7 @@ def _streamed_grads(Q, K, V, out, lse, g, blocks, scale):
     ``block._backward`` folds them, walked by ``_folded_bwd``."""
     Qx, Kx, Vx = _folded(Q * scale, K, V, lse)
     gx = np.hstack([g, -np.einsum("ij,ij->i", g, out)[:, None]])
-    return _folded_bwd(Qx, Kx, Vx, gx, blocks, scale)
+    return _folded_bwd(Qx, Kx, Vx, gx, blocks)
 
 
 def _dense_forward(Q, K, V, bits, scale):
@@ -106,14 +106,15 @@ def test_blockwise_backward_matches_dense_oracle_on_general_covers(cover, tile, 
     bits, blocks = cover
     n = bits.shape[0]
     Q, K, V, g = _qkvg(n, seed)
-    scale = 0.7
+    Q *= 1.4  # pre-scaled: 0.7 Q K^T of the drawn Q, at the kernels' 1/sqrt(4)
+    scale = 0.5
     want = masked_attention_grads_oracle(Q, K, V, bits, g, scale)
     _, want_out, want_lse = _dense_forward(Q, K, V, bits, scale)
     with mock.patch.object(attention, "_tile_rows", lambda width: tile), mock.patch.object(
         attention, "_KEY_TILE", keys
     ):
         for order in (blocks, blocks[::-1]):
-            out, lse = _blockwise([Q, K, V], order, scale)
+            out, lse = _blockwise([Q, K, V], order)
             np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-12)
             for got, ref in zip(_streamed_grads(Q, K, V, out, lse, g, order, scale), want):
@@ -131,7 +132,8 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
     n = bits.shape[0]
     Q, K, V, _ = _qkvg(n, seed)
     Q *= np.random.default_rng(seed).choice([1.0, 30.0, 1e3, 1e5], size=(n, 1))
-    scale = 0.7
+    Q *= 1.4  # pre-scaled: 0.7 Q K^T of the drawn Q, at the kernels' 1/sqrt(4)
+    scale = 0.5
     logits, want_out, want_lse = _dense_forward(Q, K, V, bits, scale)
     # float64 logits carry an absolute error of a few ulps of their size
     size = np.abs(np.where(bits, logits, 0.0)).max(axis=1)
@@ -142,7 +144,7 @@ def test_float64_forward_matches_dense_oracle_on_both_stabilizer_routes(cover, t
         attention, "_KEY_TILE", keys
     ):
         for order in (blocks, blocks[::-1]):
-            out, lse = _blockwise([Q, K, V], order, scale)
+            out, lse = _blockwise([Q, K, V], order)
             assert np.isfinite(out).all() and np.isfinite(lse).all()
             assert (np.abs(out - want_out) <= tol[:, None]).all()
             assert (np.abs(lse - want_lse) <= tol).all()
@@ -153,7 +155,7 @@ def test_float64_forward_takes_the_exact_route_when_a_norm_overflows():
     Q, K, V = np.zeros((3, 2)), np.ones((3, 2)), np.eye(3)[:, :2].copy()
     Q[1], K[0, 0] = 1e-200, 1e160
     blocks = [Block(0, 3, 0, 3)]
-    out, lse = _blockwise([Q, K, V], blocks, 1.0)
+    out, lse = _blockwise([Q * np.sqrt(2), K, V], blocks)  # pre-scaled to undo 1/sqrt(2)
     _, want_out, want_lse = _dense_forward(Q, K, V, np.ones((3, 3), bool), 1.0)
     np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lse, want_lse, rtol=0, atol=1e-15)
@@ -197,7 +199,7 @@ def test_blockwise_backward_matches_dense_oracle_at_the_shipped_tile():
     Q, K, V, g = _qkvg(n, 11)
     scale = 0.5
     want = masked_attention_grads_oracle(Q, K, V, csam_oracle(spec), g, scale)
-    out, lse = _blockwise([Q, K, V], blocks, scale)
+    out, lse = _blockwise([Q, K, V], blocks)
     for got, ref in zip(_streamed_grads(Q, K, V, out, lse, g, blocks, scale), want):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
@@ -245,7 +247,7 @@ def test_streamed_cross_forward_matches_dense_oracle(tile, d):
     level_term = attention._level_term(qc, kc, plan)[2]
     # float64, which walks _tile_rows rows (float32 walks _CROSS_TILE)
     with mock.patch.object(attention, "_tile_rows", lambda L: tile):
-        out, lse = attention._attend(qc, kc, vc, scale, level_term)
+        out, lse = attention._attend(qc, kc, vc, level_term)
     want = attention_oracle(qc, kc, vc, additive=additive, scale=scale)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lse, _logsumexp((qc @ kc.T + additive) * scale), rtol=0, atol=1e-12)
